@@ -30,7 +30,6 @@ from .feasible import (
     check_zeta_constraints,
     expert_zeta_load,
     membership_implicit,
-    membership_q,
     params_from_reward,
     polytope_h_rep,
     reward_from_params,
@@ -38,8 +37,8 @@ from .feasible import (
     zeta_caps,
 )
 from .hausdorff import (
+    DimensionCapError,
     EmptyPolytopeError,
-    EnumerationCapError,
     HausdorffMode,
     HausdorffReport,
     LinearProgram,
@@ -51,9 +50,6 @@ from .hausdorff import (
     sample_support_points,
 )
 from .instances import (
-    Family,
-    InstanceSpec,
-    build,
     example_fig1,
     lb_chain,
     lb_subopt,
@@ -66,12 +62,10 @@ from .mdp import (
     RewardFunction,
     apply_policy,
     apply_transition,
-    mask_supported,
     mask_unsupported,
     occupancy_matrix,
     policy_transition_matrix,
     value_functions,
-    value_iteration_values,
 )
 from .problem_io import (
     ProblemFormatError,

@@ -6,17 +6,15 @@ problem), hausdorff (distance between two problems' feasible sets), sweep
 (zeta caps and volume bounds).
 
 Exit codes: 0 success / member, 1 non-member (check only), 2 usage error,
-3 data error (unreadable or invalid files), 4 numeric error (enumeration
-cap, empty polytope, search overflow).
+3 data error (unreadable or invalid files), 4 numeric error (enumeration or
+LP dimension cap, empty polytope, search overflow).
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -117,11 +115,8 @@ def cmd_hausdorff(args) -> int:
     poly_a, poly_b = _polytope_pair(problem_a, problem_b)
     mode = (hausdorff.HausdorffMode.EXACT if args.mode == "exact"
             else hausdorff.HausdorffMode.LOWER_BOUND)
-    try:
-        report = hausdorff.hausdorff_distance(poly_a, poly_b, mode=mode,
-                                              budget=args.budget, seed=args.seed)
-    except (hausdorff.EnumerationCapError, hausdorff.EmptyPolytopeError) as exc:
-        raise _CliError(EXIT_NUMERIC, str(exc)) from exc
+    report = hausdorff.hausdorff_distance(poly_a, poly_b, mode=mode,
+                                          budget=args.budget, seed=args.seed)
     kind = "exact distance" if mode is hausdorff.HausdorffMode.EXACT else "lower bound"
     print(f"hausdorff {kind}: {report.value:.12g}")
     print(f"  directed a->b: {report.directed[0]:.12g}")
@@ -162,22 +157,12 @@ def cmd_sweep(args) -> int:
     problem, _ = _load_problem(args.problem)
     if problem.num_experts == 0:
         raise _CliError(EXIT_DATA, "sweep needs at least one sub-optimal expert")
-    t_grid = args.t_grid
-    seeds = args.seeds
-    if not t_grid:
+    if not args.t_grid:
         raise _CliError(EXIT_USAGE, "empty t grid")
     truth_poly = feasible.polytope_h_rep(problem)
     exact_ok = problem.dim <= hausdorff.DEFAULT_ENUM_CAP
-    jobs = [(seed, t) for seed in seeds for t in t_grid]
-    threads = int(os.environ.get("IRLSE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda st: _sweep_one(problem, truth_poly, st[0], st[1],
-                                      args.delta, exact_ok), jobs))
-    else:
-        rows = [_sweep_one(problem, truth_poly, s, t, args.delta, exact_ok)
-                for s, t in jobs]
+    rows = [_sweep_one(problem, truth_poly, s, t, args.delta, exact_ok)
+            for s in args.seeds for t in args.t_grid]
     rows.sort(key=lambda row: (row["seed"], row["t"]))
     with open(args.out, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS)
@@ -343,6 +328,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (hausdorff.DimensionCapError, hausdorff.EmptyPolytopeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ bound, and the required per-pair sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,25 +58,8 @@ class GenerativeModel:
         policies = [truth.optimal_policy] + [ex.policy for ex in truth.experts]
         self._policy_cdfs = [np.cumsum(pi.probs, axis=1) for pi in policies]
 
-    @property
-    def num_policies(self) -> int:
-        return len(self._policy_cdfs)
-
-    def sample(self, s: int, a: int):
-        """One query: (next_state, actions) with actions[i] from expert i at s."""
-        S, A = self.truth.num_states, self.truth.num_actions
-        if not (0 <= s < S and 0 <= a < A):
-            raise IndexError(f"state-action ({s}, {a}) out of range")
-        s_next = int(np.searchsorted(self._trans_cdf[s, a], self._rng.random(), side="right"))
-        s_next = min(s_next, S - 1)
-        actions = []
-        for cdf in self._policy_cdfs:
-            idx = int(np.searchsorted(cdf[s], self._rng.random(), side="right"))
-            actions.append(min(idx, A - 1))
-        return s_next, tuple(actions)
-
     def sample_block(self, s: int, a: int, m: int):
-        """m queries at (s, a) in one batch; same draw semantics as sample()."""
+        """m queries at (s, a): m next states, then m actions per policy."""
         S, A = self.truth.num_states, self.truth.num_actions
         next_states = np.minimum(
             np.searchsorted(self._trans_cdf[s, a], self._rng.random(m), side="right"),
@@ -87,14 +70,6 @@ class GenerativeModel:
             idx = np.minimum(np.searchsorted(cdf[s], self._rng.random(m), side="right"), A - 1)
             action_blocks.append(idx)
         return next_states, action_blocks
-
-
-def update_counts(dataset: Dataset, s: int, a: int, s_next: int, actions) -> Dataset:
-    """Record one query in place: increments the matching cells only."""
-    dataset.transition_counts[s, a, s_next] += 1
-    for i, act in enumerate(actions):
-        dataset.action_counts[i, s, act] += 1
-    return dataset
 
 
 def empirical_problem(dataset: Dataset, truth: IrlSeProblem) -> IrlSeProblem:
@@ -133,18 +108,6 @@ def us_irl_se(model: GenerativeModel, m: int):
             for i, block in enumerate(action_blocks):
                 np.add.at(dataset.action_counts[i, s], block, 1)
     return empirical_problem(dataset, truth), dataset
-
-
-def kl_categorical(p, q) -> float:
-    """KL(p || q) for categorical distributions, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("p and q must have the same shape")
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        raise ValueError("q must be positive wherever p is")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 def support_min_probability(problem: IrlSeProblem) -> float:

@@ -8,7 +8,7 @@ budget xi and a constraint mode (gap <= xi, >= xi, or == xi).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,17 +102,6 @@ class MembershipReport:
         return self.is_member
 
 
-def _expert_gap_violation(gap: float, xi: float, mode: ConstraintMode, tol: float) -> float:
-    """Positive violation margin of the per-state gap constraint, 0 if satisfied."""
-    if mode is ConstraintMode.UPPER:
-        margin = gap - xi
-    elif mode is ConstraintMode.LOWER:
-        margin = xi - gap
-    else:
-        margin = abs(gap - xi)
-    return margin if margin > tol else 0.0
-
-
 def _check_reward_box(problem: IrlSeProblem, r: RewardFunction, tol: float) -> np.ndarray:
     vals = np.asarray(r.values, dtype=float)
     if vals.shape != (problem.num_states, problem.num_actions):
@@ -134,60 +123,25 @@ def membership_implicit(problem: IrlSeProblem, r: RewardFunction,
     pi1 = problem.optimal_policy
     q1, v1, _ = value_functions(problem.mdp, r, pi1)
     support = pi1.support_mask()
-    violations = []
-    for s in range(problem.num_states):
-        for a in range(problem.num_actions):
-            diff = q1[s, a] - v1[s]
-            if support[s, a]:
-                if abs(diff) > tol:
-                    violations.append(Violation("optimality_eq", s, a, abs(diff)))
-            elif diff > tol:
-                violations.append(Violation("optimality_le", s, a, diff))
+    diff = q1 - v1[:, None]
+    margin = np.where(support, np.abs(diff), diff)
+    bad = margin > tol
+    violations = [
+        Violation("optimality_eq" if eq else "optimality_le", s, a, m)
+        for (s, a), eq, m in zip(np.argwhere(bad).tolist(), support[bad].tolist(),
+                                 margin[bad].tolist())]
     for i, ex in enumerate(problem.experts):
         _, vi, _ = value_functions(problem.mdp, r, ex.policy)
-        for s in range(problem.num_states):
-            margin = _expert_gap_violation(v1[s] - vi[s], ex.xi, ex.mode, tol)
-            if margin > 0.0:
-                violations.append(Violation("expert_gap", s, -1, margin, expert=i))
-    return MembershipReport(not violations, tuple(violations))
-
-
-def membership_q(problem: IrlSeProblem, r: RewardFunction,
-                 tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Membership via the Q-level variant of the expert condition.
-
-    For UPPER-mode experts the gap condition is tested as
-    Q^{opt}(s, a) <= V^{expert}(s) + xi for every pair, which is equivalent
-    to the value-level condition once optimality holds; serves as an
-    independent oracle for membership_implicit. Other modes fall back to the
-    value-level test.
-    """
-    _check_reward_box(problem, r, tol)
-    pi1 = problem.optimal_policy
-    q1, v1, _ = value_functions(problem.mdp, r, pi1)
-    support = pi1.support_mask()
-    violations = []
-    for s in range(problem.num_states):
-        for a in range(problem.num_actions):
-            diff = q1[s, a] - v1[s]
-            if support[s, a]:
-                if abs(diff) > tol:
-                    violations.append(Violation("optimality_eq", s, a, abs(diff)))
-            elif diff > tol:
-                violations.append(Violation("optimality_le", s, a, diff))
-    for i, ex in enumerate(problem.experts):
-        _, vi, _ = value_functions(problem.mdp, r, ex.policy)
+        gap = v1 - vi
         if ex.mode is ConstraintMode.UPPER:
-            for s in range(problem.num_states):
-                for a in range(problem.num_actions):
-                    margin = q1[s, a] - vi[s] - ex.xi
-                    if margin > tol:
-                        violations.append(Violation("expert_gap", s, a, margin, expert=i))
+            margin = gap - ex.xi
+        elif ex.mode is ConstraintMode.LOWER:
+            margin = ex.xi - gap
         else:
-            for s in range(problem.num_states):
-                margin = _expert_gap_violation(v1[s] - vi[s], ex.xi, ex.mode, tol)
-                if margin > 0.0:
-                    violations.append(Violation("expert_gap", s, -1, margin, expert=i))
+            margin = np.abs(gap - ex.xi)
+        bad = margin > max(tol, 0.0)
+        violations += [Violation("expert_gap", s, -1, m, expert=i)
+                       for s, m in zip(np.flatnonzero(bad).tolist(), margin[bad].tolist())]
     return MembershipReport(not violations, tuple(violations))
 
 
@@ -357,12 +311,8 @@ class RewardPolytope:
 def _value_functional(m: MdpNoReward, pi: Policy) -> np.ndarray:
     """Matrix W with V^{pi} = W vec(r): W = (I - gamma pi P)^{-1} diag-expand(pi)."""
     S, A = pi.probs.shape
-    occ = occupancy_matrix(m, pi)
-    # (pi r)(s') = sum_a pi[s',a] r[s',a]; expand to (S, S*A)
-    w = np.zeros((S, S * A))
-    for s_prime in range(S):
-        w[:, s_prime * A:(s_prime + 1) * A] = occ[:, s_prime:s_prime + 1] * pi.probs[s_prime]
-    return w
+    # (pi r)(s') = sum_a pi[s',a] r[s',a], so W[s, (s', a)] = D[s, s'] pi[s', a]
+    return (occupancy_matrix(m, pi)[:, :, None] * pi.probs[None]).reshape(S, S * A)
 
 
 def polytope_h_rep(problem: IrlSeProblem, tol: float = DEFAULT_TOL) -> RewardPolytope:
@@ -380,16 +330,10 @@ def polytope_h_rep(problem: IrlSeProblem, tol: float = DEFAULT_TOL) -> RewardPol
     p_flat = m.transition.reshape(d, S)
     w_q1 = np.eye(d) + m.discount * (p_flat @ w_v1)
 
-    rows, bounds, labels = [], [], []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        rows.append(e)
-        bounds.append(1.0)
-        labels.append("box")
-        rows.append(-e)
-        bounds.append(0.0)
-        labels.append("box")
+    # box rows interleaved per coordinate: r_j <= 1, then -r_j <= 0
+    rows = list(np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d))
+    bounds = [1.0, 0.0] * d
+    labels = ["box"] * (2 * d)
 
     support = pi1.support_mask()
     deterministic = bool(np.all(support.sum(axis=1) == 1))
@@ -443,7 +387,9 @@ def _drop_redundant_rows(G: np.ndarray, h: np.ndarray, labels):
                 continue
         scale = np.max(np.abs(row))
         if scale <= COEF_CLEAN_TOL:
-            continue  # 0 <= h rows (h >= 0 guaranteed by the box check above)
+            # a zero row that got past the box test reads 0 <= h with h < 0,
+            # so the set is empty; scaled to 0 <= -1, one such row is kept
+            scale = -bound
         normed_row, normed_bound = row / scale, bound / scale
         duplicate = False
         for other_row, other_bound in kept_normed:

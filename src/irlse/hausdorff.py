@@ -27,8 +27,9 @@ class EmptyPolytopeError(ValueError):
     """Raised when a distance query hits an empty polytope."""
 
 
-class EnumerationCapError(ValueError):
-    """Raised when exact vertex enumeration is refused for a large dimension."""
+class DimensionCapError(ValueError):
+    """Raised when a dimension exceeds the vertex-enumeration cap or the LP
+    variable cap."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ class LinearProgram:
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
             raise ValueError("LP data must be finite")
         if G.shape[1] > DEFAULT_LP_DIM_CAP:
-            raise ValueError(f"dimension {G.shape[1]} exceeds the small-dense cap")
+            raise DimensionCapError(
+                f"dimension {G.shape[1]} exceeds the LP variable cap {DEFAULT_LP_DIM_CAP}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
@@ -59,17 +61,6 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None
     x: np.ndarray | None
-
-
-def _dedupe_rows(G: np.ndarray, h: np.ndarray):
-    seen = set()
-    keep = []
-    for i in range(G.shape[0]):
-        key = (G[i].tobytes(), float(h[i]))
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return G[keep], h[keep]
 
 
 def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -118,7 +109,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     Free variables are split into positive and negative parts; rows with a
     negative bound get an artificial variable in phase one.
     """
-    G, h = _dedupe_rows(lp.G, lp.h)
+    G, h = lp.G, lp.h
     m, d = G.shape
     if m == 0:
         # unconstrained: optimum is 0 at the origin iff c == 0
@@ -209,7 +200,7 @@ def _chunked_combinations(n: int, d: int, chunk: int):
         yield np.array(block)
 
 
-def enumerate_vertices(polytope: RewardPolytope, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def enumerate_vertices(polytope: RewardPolytope) -> np.ndarray:
     """All basic feasible points: solve every dim-subset of rows, keep the
     feasible solutions, dedupe near-identical points.
 
@@ -218,9 +209,10 @@ def enumerate_vertices(polytope: RewardPolytope, cap: int = DEFAULT_ENUM_CAP) ->
     counts tractable.
     """
     d = polytope.dim
-    if d > cap:
-        raise EnumerationCapError(f"dimension {d} exceeds enumeration cap {cap}")
-    G, h = _dedupe_rows(polytope.G, polytope.h)
+    if d > DEFAULT_ENUM_CAP:
+        raise DimensionCapError(
+            f"dimension {d} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
+    G, h = polytope.G, polytope.h
     candidates = []
     for block in _chunked_combinations(G.shape[0], d, 50_000):
         subs = G[block]  # (B, d, d)
@@ -279,7 +271,6 @@ class HausdorffReport:
     mode: HausdorffMode
     directed: tuple  # (sup over P1 side, sup over P2 side)
     witness_point: np.ndarray  # point attaining the max
-    witness_distance: float
 
 
 def _directed_sup(points: np.ndarray, target: RewardPolytope):
@@ -293,19 +284,24 @@ def _directed_sup(points: np.ndarray, target: RewardPolytope):
 
 def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
                        mode: HausdorffMode = HausdorffMode.EXACT,
-                       budget: int = 64, seed: int = 0,
-                       enum_cap: int = DEFAULT_ENUM_CAP) -> HausdorffReport:
+                       budget: int = 64, seed: int = 0) -> HausdorffReport:
     """Infinity-norm Hausdorff distance between two reward polytopes.
 
     EXACT mode enumerates all vertices of both polytopes; LOWER_BOUND mode
     uses seeded random-objective support points and returns a certified
-    lower bound that is non-decreasing in the budget.
+    lower bound that is non-decreasing in the budget. Either mode raises
+    DimensionCapError before any LP when the distance LPs (dim + 1
+    variables) would exceed the LP variable cap.
     """
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
+    if p1.dim + 1 > DEFAULT_LP_DIM_CAP:
+        raise DimensionCapError(
+            f"distance LPs need {p1.dim + 1} variables, over the LP variable cap "
+            f"{DEFAULT_LP_DIM_CAP}")
     if mode is HausdorffMode.EXACT:
-        pts1 = enumerate_vertices(p1, enum_cap)
-        pts2 = enumerate_vertices(p2, enum_cap)
+        pts1 = enumerate_vertices(p1)
+        pts2 = enumerate_vertices(p2)
     else:
         rng1 = np.random.default_rng(seed)
         rng2 = np.random.default_rng(seed + 1)
@@ -315,9 +311,5 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
         raise EmptyPolytopeError("polytope has no feasible points")
     d12, w12 = _directed_sup(pts1, p2)
     d21, w21 = _directed_sup(pts2, p1)
-    if d12 >= d21:
-        value, witness, wdist = d12, w12, d12
-    else:
-        value, witness, wdist = d21, w21, d21
-    return HausdorffReport(float(value), mode, (float(d12), float(d21)),
-                           witness, float(wdist))
+    value, witness = (d12, w12) if d12 >= d21 else (d21, w21)
+    return HausdorffReport(float(value), mode, (float(d12), float(d21)), witness)

@@ -8,58 +8,10 @@ the optimal expert plays.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .feasible import ConstraintMode, ExpertSpec, IrlSeProblem
 from .mdp import MdpNoReward, Policy
-
-
-class Family(enum.Enum):
-    FIG1 = "fig1"
-    LB_CHAIN = "chain"
-    LB_TREE = "tree"
-    LB_SUBOPT = "subopt"
-    RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A family tag plus its parameters; `build` dispatches to a constructor."""
-
-    family: Family
-    gamma: float = 0.9
-    s_bar: int = 2
-    num_actions: int = 2
-    eps_prime: float = 0.0
-    xi: float = 0.5
-    pi_min: float = 0.25
-    alpha: float = 2.0
-    variant: tuple | None = None  # (state, action) for the chain family
-    variant_state: int | None = None
-    v: tuple | None = None
-    num_states: int = 3
-    num_experts: int = 1
-    seed: int = 0
-    xi_range: tuple = (0.1, 0.5)
-
-
-def build(spec: InstanceSpec) -> IrlSeProblem:
-    if spec.family is Family.FIG1:
-        return example_fig1(spec.gamma, spec.xi)
-    if spec.family is Family.LB_CHAIN:
-        return lb_chain(spec.s_bar, spec.num_actions, spec.gamma,
-                        spec.eps_prime, spec.variant)
-    if spec.family is Family.LB_TREE:
-        return lb_tree(spec.s_bar, spec.num_actions, spec.gamma,
-                       spec.eps_prime, spec.v)
-    if spec.family is Family.LB_SUBOPT:
-        return lb_subopt(spec.s_bar, spec.gamma, spec.xi, spec.pi_min,
-                         spec.alpha, spec.variant_state)
-    return random_problem(spec.num_states, spec.num_actions, spec.num_experts,
-                          spec.gamma, spec.seed, spec.xi_range)
 
 
 def _uniform_fanout(p: np.ndarray, state: int, targets) -> None:

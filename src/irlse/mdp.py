@@ -6,7 +6,7 @@ is a pure function of immutable inputs; the dataclasses are frozen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,12 +139,6 @@ def mask_unsupported(pi: Policy, g) -> np.ndarray:
     return np.where(pi.support_mask(), 0.0, g)
 
 
-def mask_supported(pi: Policy, g) -> np.ndarray:
-    """Keep entries where pi(a|s) > 0, zero elsewhere (the B operator)."""
-    g = _check_state_action_table(pi.probs.shape, g)
-    return np.where(pi.support_mask(), g, 0.0)
-
-
 def policy_transition_matrix(m: MdpNoReward, pi: Policy) -> np.ndarray:
     """State-to-state transition matrix (pi P)[s, s'] = sum_a pi(a|s) p(s'|s,a)."""
     if pi.probs.shape != (m.num_states, m.num_actions):
@@ -180,14 +174,3 @@ def value_functions(m: MdpNoReward, r: RewardFunction, pi: Policy):
     q = r.values + m.discount * apply_transition(m, v)
     adv = q - v[:, None]
     return q, v, adv
-
-
-def value_iteration_values(m: MdpNoReward, r: RewardFunction, pi: Policy,
-                           sweeps: int = 500) -> np.ndarray:
-    """Truncated power-series evaluation of V^pi; test oracle for value_functions."""
-    trans = policy_transition_matrix(m, pi)
-    rew = apply_policy(pi, r.values)
-    v = np.zeros(m.num_states)
-    for _ in range(sweeps):
-        v = rew + m.discount * trans @ v
-    return v

@@ -23,7 +23,6 @@ from irlse import (
     lp_solve,
     mask_unsupported,
     membership_implicit,
-    membership_q,
     params_from_reward,
     polytope_h_rep,
     random_problem,
@@ -34,6 +33,7 @@ from irlse import (
     volume_upper_bounds,
     zeta_caps,
 )
+from oracles import membership_q
 
 TOL = 1e-8
 

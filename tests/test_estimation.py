@@ -20,7 +20,6 @@ from irlse import (
     us_irl_se,
     validity_thresholds,
 )
-from irlse.estimation import kl_categorical, update_counts
 
 
 @pytest.fixture
@@ -49,14 +48,6 @@ class TestSampling:
         _, d2 = us_irl_se(GenerativeModel(truth, seed=2), 200)
         assert not np.array_equal(d1.transition_counts, d2.transition_counts)
 
-    def test_single_draws_match_block_semantics(self, truth):
-        a_model = GenerativeModel(truth, seed=4)
-        b_model = GenerativeModel(truth, seed=4)
-        s_next, actions = a_model.sample(1, 0)
-        block_next, block_actions = b_model.sample_block(1, 0, 1)
-        assert s_next == block_next[0]
-        assert list(actions) == [b[0] for b in block_actions]
-
     def test_empirical_frequencies_converge(self, truth):
         model = GenerativeModel(truth, seed=3)
         emp, _ = us_irl_se(model, 40_000)
@@ -72,30 +63,6 @@ class TestSampling:
         emp = empirical_problem(ds, truth)
         assert np.all(emp.mdp.transition == 1.0 / truth.num_states)
         assert np.all(emp.optimal_policy.probs == 1.0 / truth.num_actions)
-
-    def test_update_counts_single(self, truth):
-        ds = Dataset.empty(3, 2, 1)
-        ds = update_counts(ds, 1, 0, 2, (0, 1))
-        assert ds.transition_counts[1, 0, 2] == 1
-        assert ds.action_counts[0, 1, 0] == 1
-        assert ds.action_counts[1, 1, 1] == 1
-
-
-class TestKl:
-    def test_zero_on_equal(self):
-        assert kl_categorical([0.3, 0.7], [0.3, 0.7]) == 0.0
-
-    def test_zero_times_log_zero(self):
-        assert kl_categorical([0.0, 1.0], [0.0, 1.0]) == 0.0
-
-    def test_support_violation(self):
-        with pytest.raises(ValueError):
-            kl_categorical([0.5, 0.5], [1.0, 0.0])
-
-    def test_known_value(self):
-        got = kl_categorical([0.5, 0.5], [0.25, 0.75])
-        want = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestPiMin:

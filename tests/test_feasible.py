@@ -15,7 +15,6 @@ from irlse import (
     expert_zeta_load,
     mask_unsupported,
     membership_implicit,
-    membership_q,
     occupancy_matrix,
     params_from_reward,
     polytope_h_rep,
@@ -25,6 +24,7 @@ from irlse import (
     volume_upper_bounds,
     zeta_caps,
 )
+from oracles import membership_q
 
 
 @pytest.fixture
@@ -75,6 +75,21 @@ class TestMembership:
             for _ in range(100):
                 r = RewardFunction(rng.uniform(0, 1, size=(3, 3)))
                 assert bool(membership_implicit(problem, r)) == bool(membership_q(problem, r))
+
+    def test_violations_match_loop_oracle(self):
+        # membership_q tests optimality pair by pair and, for LOWER/EXACT
+        # experts, the gap state by state: the same violations in the same order
+        rng = np.random.default_rng(6)
+        for seed in range(6):
+            base = random_problem(3, 3, 2, 0.8, seed=seed)
+            probs = base.optimal_policy.probs.copy()
+            probs[0] = 1.0 / 3.0  # stochastic at state 0: optimality_eq rows
+            problem = IrlSeProblem(base.mdp, Policy(probs), tuple(
+                ExpertSpec(ex.policy, ex.xi, mode) for ex, mode in
+                zip(base.experts, (ConstraintMode.LOWER, ConstraintMode.EXACT))))
+            for _ in range(50):
+                r = RewardFunction(rng.uniform(0, 1, size=(3, 3)))
+                assert membership_implicit(problem, r) == membership_q(problem, r)
 
     def test_saturated_xi_reduces_to_single_agent(self):
         # xi >= horizon makes the expert constraint vacuous

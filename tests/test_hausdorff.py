@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from irlse import (
+    DimensionCapError,
     EmptyPolytopeError,
-    EnumerationCapError,
     HausdorffMode,
     LinearProgram,
     RewardPolytope,
@@ -154,8 +154,8 @@ class TestVertexEnumeration:
         poly = RewardPolytope(3, 4, np.vstack([np.eye(d), -np.eye(d)]),
                               np.concatenate([np.ones(d), np.zeros(d)]),
                               tuple(["box"] * 2 * d))
-        with pytest.raises(EnumerationCapError):
-            enumerate_vertices(poly, cap=10)
+        with pytest.raises(DimensionCapError):
+            enumerate_vertices(poly)
 
     def test_vertices_feasible(self):
         poly = polytope_h_rep(example_fig1(0.9, 0.5))

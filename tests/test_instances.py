@@ -3,10 +3,7 @@ import numpy as np
 import pytest
 
 from irlse import (
-    Family,
-    InstanceSpec,
     RewardFunction,
-    build,
     example_fig1,
     hausdorff_distance,
     lb_chain,
@@ -163,14 +160,3 @@ class TestRandom:
         problem = random_problem(2, 2, 3, 0.5, seed=1, xi_range=(0.2, 0.3))
         for ex in problem.experts:
             assert 0.2 <= ex.xi <= 0.3
-
-
-class TestSpecDispatch:
-    def test_build_matches_direct_calls(self):
-        spec = InstanceSpec(Family.FIG1, gamma=0.9, xi=0.5)
-        assert np.array_equal(build(spec).mdp.transition,
-                              example_fig1(0.9, 0.5).mdp.transition)
-        spec = InstanceSpec(Family.RANDOM, gamma=0.5, num_states=2,
-                            num_actions=2, num_experts=1, seed=3)
-        assert np.array_equal(build(spec).mdp.transition,
-                              random_problem(2, 2, 1, 0.5, seed=3).mdp.transition)

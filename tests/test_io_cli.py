@@ -7,12 +7,17 @@ import pytest
 
 from irlse import (
     ConstraintMode,
+    EmptyPolytopeError,
     ExpertSpec,
     IrlSeProblem,
     ProblemFormatError,
     RewardFunction,
     example_fig1,
+    hausdorff_distance,
+    lb_chain,
     lb_subopt,
+    membership_implicit,
+    polytope_h_rep,
     problem_from_dict,
     problem_to_dict,
     random_problem,
@@ -28,6 +33,13 @@ from irlse.cli import main
 def fig1_path(tmp_path):
     path = tmp_path / "fig1.json"
     write_problem(path, example_fig1(0.9, 0.5))
+    return path
+
+
+@pytest.fixture
+def d64_path(tmp_path):
+    path = tmp_path / "d64.json"
+    write_problem(path, random_problem(8, 8, 2, 0.9, seed=1))
     return path
 
 
@@ -199,10 +211,36 @@ class TestCliHausdorff:
         write_problem(big, random_problem(4, 3, 1, 0.5, seed=0))
         assert main(["hausdorff", str(big), str(big), "--mode", "exact"]) == 4
 
+    def test_lp_cap_exit_four(self, d64_path, capsys):
+        # distance LPs at d = 64 need 65 variables, one over the LP cap
+        assert main(["hausdorff", str(d64_path), str(d64_path), "--mode", "lower",
+                     "--budget", "1"]) == 4
+        assert "LP variable cap" in capsys.readouterr().err
+
+    def test_empty_feasible_set_exit_four(self, tmp_path):
+        # a LOWER-mode expert identical to the optimal one has gap 0 < xi
+        # everywhere, so no reward is feasible
+        base = lb_chain(1, 2, 0.9, 0.0)
+        empty = IrlSeProblem(base.mdp, base.optimal_policy, (
+            ExpertSpec(base.optimal_policy, 0.3, ConstraintMode.LOWER),))
+        flat = RewardFunction(np.full((4, 2), 0.5))
+        assert not membership_implicit(empty, flat)
+        assert not polytope_h_rep(empty).contains(flat)
+        with pytest.raises(EmptyPolytopeError):
+            hausdorff_distance(polytope_h_rep(empty), polytope_h_rep(base))
+        a, b = tmp_path / "empty.json", tmp_path / "base.json"
+        write_problem(a, empty)
+        write_problem(b, base)
+        assert main(["hausdorff", str(a), str(b), "--mode", "lower",
+                     "--budget", "4"]) == 4
+
 
 class TestCliSweep:
-    def test_schema_and_sorting(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IRLSE_THREADS", "2")
+    def test_lp_cap_exit_four(self, d64_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(d64_path), str(out), "--t-grid", "10"]) == 4
+
+    def test_schema_and_sorting(self, tmp_path):
         src = tmp_path / "p.json"
         write_problem(src, random_problem(2, 2, 1, 0.5, seed=3))
         out = tmp_path / "sweep.csv"

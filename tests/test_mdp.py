@@ -10,13 +10,12 @@ from irlse import (
     RewardFunction,
     apply_policy,
     apply_transition,
-    mask_supported,
     mask_unsupported,
     occupancy_matrix,
     policy_transition_matrix,
     value_functions,
-    value_iteration_values,
 )
+from oracles import value_iteration_values
 
 
 def two_state_chain(gamma=0.9):
@@ -85,7 +84,8 @@ class TestOperators:
     def test_masks_partition_table(self):
         pi = Policy(np.array([[0.25, 0.75], [1.0, 0.0]]))
         g = np.array([[4.0, 8.0], [3.0, 9.0]])
-        assert np.allclose(mask_supported(pi, g) + mask_unsupported(pi, g), g)
+        supported = np.where(pi.support_mask(), g, 0.0)
+        assert np.allclose(supported + mask_unsupported(pi, g), g)
         assert mask_unsupported(pi, g)[1, 1] == 9.0
         assert mask_unsupported(pi, g)[0, 0] == 0.0
 

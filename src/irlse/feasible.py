@@ -378,7 +378,9 @@ def _drop_redundant_rows(G: np.ndarray, h: np.ndarray, labels):
     Box rows themselves are always kept; exact minimality is not attempted.
     """
     keep = []
-    kept_normed = []  # (normalized row, normalized bound)
+    # normalized kept rows and bounds, filled up to len(keep)
+    kept_rows = np.empty(G.shape)
+    kept_bounds = np.empty(h.shape)
     for idx in range(G.shape[0]):
         row, bound, label = G[idx], h[idx], labels[idx]
         if label != "box":
@@ -391,14 +393,11 @@ def _drop_redundant_rows(G: np.ndarray, h: np.ndarray, labels):
             # so the set is empty; scaled to 0 <= -1, one such row is kept
             scale = -bound
         normed_row, normed_bound = row / scale, bound / scale
-        duplicate = False
-        for other_row, other_bound in kept_normed:
-            if (np.max(np.abs(other_row - normed_row)) < 1e-10
-                    and other_bound <= normed_bound + 1e-10):
-                duplicate = True
-                break
-        if duplicate:
+        k = len(keep)
+        duplicate = ((np.max(np.abs(kept_rows[:k] - normed_row), axis=1) < 1e-10)
+                     & (kept_bounds[:k] <= normed_bound + 1e-10))
+        if np.any(duplicate):
             continue
+        kept_rows[k], kept_bounds[k] = normed_row, normed_bound
         keep.append(idx)
-        kept_normed.append((normed_row, normed_bound))
     return G[keep], h[keep], [labels[i] for i in keep]

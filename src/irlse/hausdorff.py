@@ -61,53 +61,62 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None
     x: np.ndarray | None
+    pivots: tuple[int, int] = (0, 0)  # simplex pivots in phase one, phase two
 
 
 def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
+    """Make `col` basic in `row`: scale the row, then eliminate the column
+    from every other row with a nonzero entry in one rank-1 update."""
     piv = tableau[row, col]
     tableau[row] /= piv
     rhs[row] /= piv
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            factor = tableau[i, col]
-            tableau[i] -= factor * tableau[row]
-            rhs[i] -= factor * rhs[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    # rows with a zero factor stay untouched, like the pivot row: subtracting
+    # 0 * x could turn a -0.0 entry into +0.0 and change the sign of a zero in x
+    rows = np.flatnonzero(factors)
+    tableau[rows] -= np.outer(factors[rows], tableau[row])
+    rhs[rows] -= factors[rows] * rhs[row]
     basis[row] = col
 
 
 def _simplex_phase(tableau, rhs, basis, costs, allowed):
     """Bland's-rule simplex on a tableau already in basic feasible form.
 
-    Returns "optimal" or "unbounded"; mutates tableau/rhs/basis in place.
+    Returns ("optimal" | "unbounded", pivots made); mutates tableau/rhs/basis
+    in place.
     """
-    m = tableau.shape[0]
+    pivots = 0
     while True:
         cb = costs[basis]
         reduced = costs - cb @ tableau
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if reduced[j] < -LP_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
+        improving = np.flatnonzero(allowed & (reduced < -LP_TOL))
+        if improving.size == 0:
+            return "optimal", pivots
+        entering = improving[0]
+        column = tableau[:, entering]
+        eligible = np.flatnonzero(column > LP_TOL)
+        if eligible.size == 0:
+            return "unbounded", pivots
+        ratios = rhs[eligible] / column[eligible]
+        # smallest ratio; within LP_TOL of the best so far, the smaller basis
+        # index wins (Bland), applied in row order
         best_ratio, leave = None, -1
-        for i in range(m):
-            if tableau[i, entering] > LP_TOL:
-                ratio = rhs[i] / tableau[i, entering]
-                if (best_ratio is None or ratio < best_ratio - LP_TOL
-                        or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])):
-                    best_ratio, leave = ratio, i
-        if leave < 0:
-            return "unbounded"
+        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+            if (best_ratio is None or ratio < best_ratio - LP_TOL
+                    or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])):
+                best_ratio, leave = ratio, i
         _pivot(tableau, rhs, basis, leave, entering)
+        pivots += 1
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Two-phase dense simplex with Bland's rule on a slack formulation.
 
     Free variables are split into positive and negative parts; rows with a
-    negative bound get an artificial variable in phase one.
+    negative bound get an artificial variable in phase one. The result
+    counts the pivots of each phase; pivots that drive a zero-valued
+    artificial out of the basis count towards phase one.
     """
     G, h = lp.G, lp.h
     m, d = G.shape
@@ -126,42 +135,40 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     art_rows = np.flatnonzero(neg)
     n_art = art_rows.size
     art_block = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art_block[i, k] = 1.0
+    art_block[art_rows, np.arange(n_art)] = 1.0
     tableau = np.hstack([body, art_block])
     ncols = tableau.shape[1]
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = 2 * d + i  # slack basic where h >= 0
-    for k, i in enumerate(art_rows):
-        basis[i] = 2 * d + m + k  # artificial basic where the row was flipped
+    basis = np.arange(2 * d, 2 * d + m)  # slack basic where h >= 0
+    basis[art_rows] = 2 * d + m + np.arange(n_art)  # artificial where the row was flipped
 
     allowed = np.ones(ncols, dtype=bool)
+    phase_one = 0
     if n_art:
         costs1 = np.zeros(ncols)
         costs1[2 * d + m:] = 1.0
-        _simplex_phase(tableau, rhs, basis, costs1, allowed)
+        _, phase_one = _simplex_phase(tableau, rhs, basis, costs1, allowed)
         if costs1[basis] @ rhs > 1e-7:
-            return LpResult("infeasible", None, None)
+            return LpResult("infeasible", None, None, (phase_one, 0))
         allowed[2 * d + m:] = False
         # drive any zero-valued artificial out of the basis when possible
         for i in range(m):
             if basis[i] >= 2 * d + m:
-                for j in range(2 * d + m):
-                    if abs(tableau[i, j]) > LP_TOL:
-                        _pivot(tableau, rhs, basis, i, j)
-                        break
+                nonzero = np.flatnonzero(np.abs(tableau[i, :2 * d + m]) > LP_TOL)
+                if nonzero.size:
+                    _pivot(tableau, rhs, basis, i, nonzero[0])
+                    phase_one += 1
 
     costs2 = np.zeros(ncols)
     costs2[:d] = lp.c
     costs2[d:2 * d] = -lp.c
-    status = _simplex_phase(tableau, rhs, basis, costs2, allowed)
+    status, phase_two = _simplex_phase(tableau, rhs, basis, costs2, allowed)
+    pivots = (phase_one, phase_two)
     if status == "unbounded":
-        return LpResult("unbounded", None, None)
+        return LpResult("unbounded", None, None, pivots)
     full = np.zeros(ncols)
     full[basis] = rhs
     x = full[:d] - full[d:2 * d]
-    return LpResult("optimal", float(lp.c @ x), x)
+    return LpResult("optimal", float(lp.c @ x), x, pivots)
 
 
 def directed_distance(r0, polytope: RewardPolytope) -> float:
@@ -291,7 +298,8 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
     uses seeded random-objective support points and returns a certified
     lower bound that is non-decreasing in the budget. Either mode raises
     DimensionCapError before any LP when the distance LPs (dim + 1
-    variables) would exceed the LP variable cap.
+    variables) would exceed the LP variable cap. EXACT mode checks each
+    polytope for emptiness with one zero-cost LP before enumerating.
     """
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
@@ -300,6 +308,12 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
             f"distance LPs need {p1.dim + 1} variables, over the LP variable cap "
             f"{DEFAULT_LP_DIM_CAP}")
     if mode is HausdorffMode.EXACT:
+        # one phase-one LP per polytope finds an empty set before any
+        # row subset is scanned
+        for poly in (p1, p2):
+            feasibility = LinearProgram(np.zeros(poly.dim), poly.G, poly.h)
+            if lp_solve(feasibility).status == "infeasible":
+                raise EmptyPolytopeError("polytope is empty")
         pts1 = enumerate_vertices(p1)
         pts2 = enumerate_vertices(p2)
     else:

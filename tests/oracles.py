@@ -1,5 +1,5 @@
 """Independent oracles the tests check the package against: Q-level
-membership and value iteration."""
+membership, value iteration and the row-by-row simplex."""
 import numpy as np
 
 from irlse.feasible import (
@@ -10,6 +10,7 @@ from irlse.feasible import (
     Violation,
     _check_reward_box,
 )
+from irlse.hausdorff import LP_TOL, LinearProgram, LpResult
 from irlse.mdp import (
     MdpNoReward,
     Policy,
@@ -79,3 +80,108 @@ def value_iteration_values(m: MdpNoReward, r: RewardFunction, pi: Policy,
     for _ in range(sweeps):
         v = rew + m.discount * trans @ v
     return v
+
+
+def _pivot_loop(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
+    piv = tableau[row, col]
+    tableau[row] /= piv
+    rhs[row] /= piv
+    for i in range(tableau.shape[0]):
+        if i != row and abs(tableau[i, col]) > 0.0:
+            factor = tableau[i, col]
+            tableau[i] -= factor * tableau[row]
+            rhs[i] -= factor * rhs[row]
+    basis[row] = col
+
+
+def _simplex_phase_loop(tableau, rhs, basis, costs, allowed):
+    """Bland's-rule simplex on a tableau already in basic feasible form.
+
+    Returns ("optimal" | "unbounded", pivots made); mutates tableau/rhs/basis
+    in place.
+    """
+    m = tableau.shape[0]
+    pivots = 0
+    while True:
+        cb = costs[basis]
+        reduced = costs - cb @ tableau
+        entering = -1
+        for j in np.flatnonzero(allowed):
+            if reduced[j] < -LP_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", pivots
+        best_ratio, leave = None, -1
+        for i in range(m):
+            if tableau[i, entering] > LP_TOL:
+                ratio = rhs[i] / tableau[i, entering]
+                if (best_ratio is None or ratio < best_ratio - LP_TOL
+                        or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            return "unbounded", pivots
+        _pivot_loop(tableau, rhs, basis, leave, entering)
+        pivots += 1
+
+
+def lp_solve_loop(lp: LinearProgram) -> LpResult:
+    """Two-phase dense simplex with Bland's rule, one Python iteration per
+    row and column; test oracle for the vectorised irlse.lp_solve, which
+    must take the same pivots and return bit-identical results."""
+    G, h = lp.G, lp.h
+    m, d = G.shape
+    if m == 0:
+        # unconstrained: optimum is 0 at the origin iff c == 0
+        if np.all(lp.c == 0.0):
+            return LpResult("optimal", 0.0, np.zeros(d))
+        return LpResult("unbounded", None, None)
+
+    # columns: x+ (d) | x- (d) | slacks (m) | artificials (k)
+    body = np.hstack([G, -G, np.eye(m)])
+    rhs = h.copy()
+    neg = rhs < 0
+    body[neg] *= -1.0
+    rhs[neg] *= -1.0
+    art_rows = np.flatnonzero(neg)
+    n_art = art_rows.size
+    art_block = np.zeros((m, n_art))
+    for k, i in enumerate(art_rows):
+        art_block[i, k] = 1.0
+    tableau = np.hstack([body, art_block])
+    ncols = tableau.shape[1]
+    basis = np.empty(m, dtype=int)
+    for i in range(m):
+        basis[i] = 2 * d + i  # slack basic where h >= 0
+    for k, i in enumerate(art_rows):
+        basis[i] = 2 * d + m + k  # artificial basic where the row was flipped
+
+    allowed = np.ones(ncols, dtype=bool)
+    phase_one = 0
+    if n_art:
+        costs1 = np.zeros(ncols)
+        costs1[2 * d + m:] = 1.0
+        _, phase_one = _simplex_phase_loop(tableau, rhs, basis, costs1, allowed)
+        if costs1[basis] @ rhs > 1e-7:
+            return LpResult("infeasible", None, None, (phase_one, 0))
+        allowed[2 * d + m:] = False
+        # drive any zero-valued artificial out of the basis when possible
+        for i in range(m):
+            if basis[i] >= 2 * d + m:
+                for j in range(2 * d + m):
+                    if abs(tableau[i, j]) > LP_TOL:
+                        _pivot_loop(tableau, rhs, basis, i, j)
+                        phase_one += 1
+                        break
+
+    costs2 = np.zeros(ncols)
+    costs2[:d] = lp.c
+    costs2[d:2 * d] = -lp.c
+    status, phase_two = _simplex_phase_loop(tableau, rhs, basis, costs2, allowed)
+    pivots = (phase_one, phase_two)
+    if status == "unbounded":
+        return LpResult("unbounded", None, None, pivots)
+    full = np.zeros(ncols)
+    full[basis] = rhs
+    x = full[:d] - full[d:2 * d]
+    return LpResult("optimal", float(lp.c @ x), x, pivots)

@@ -3,12 +3,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import irlse.hausdorff as hausdorff_module
 from irlse import (
+    ConstraintMode,
     DimensionCapError,
     EmptyPolytopeError,
+    ExpertSpec,
+    GenerativeModel,
     HausdorffMode,
+    IrlSeProblem,
     LinearProgram,
+    MdpNoReward,
+    Policy,
     RewardPolytope,
     directed_distance,
     enumerate_vertices,
@@ -16,8 +25,11 @@ from irlse import (
     hausdorff_distance,
     lp_solve,
     polytope_h_rep,
+    random_problem,
     sample_support_points,
+    us_irl_se,
 )
+from oracles import lp_solve_loop
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -57,6 +69,22 @@ def brute_force_lp_value(lp):
     return best
 
 
+INFEASIBLE_LP = LinearProgram([1.0], [[1.0], [-1.0]], [-2.0, 1.0])  # x <= -2, x >= -1
+UNBOUNDED_LP = LinearProgram([1.0], [[1.0]], [0.0])  # min x s.t. x <= 0
+PHASE_ONE_LP = LinearProgram([1.0], [[-1.0], [1.0]], [-3.0, 10.0])  # x >= 3; min x = 3
+# max x under x <= 1.6e-9, x <= 0.8e-9, x <= 0: the three ratios lie within
+# LP_TOL of their neighbours but not all of one another. The row-order tie
+# rule leaves at the last row (x = 0); "smallest ratio, then smallest basis
+# index" would leave at the second (x = 0.8e-9)
+NEAR_TIE_LP = LinearProgram([-1.0], [[1.0], [1.0], [1.0], [-1.0]],
+                            [1.6e-9, 0.8e-9, 0.0, 1.0])
+# the row loop returns x = (-0.0, 1); also updating the rows whose factor is
+# zero (subtracting 0 * a negative entry, which is -0.0) would give (+0.0, 1)
+SIGNED_ZERO_LP = LinearProgram([-1.0, -1.0],
+                               [[0, 1], [0, -1], [-1, -1], [-1, 0], [1, -1]],
+                               [1.0, 0.0, 0.0, 0.0, -1.0])
+
+
 class TestLpSolve:
     def test_simple_box_minimum(self):
         lp = LinearProgram([1.0, 1.0],
@@ -66,21 +94,20 @@ class TestLpSolve:
         assert res.status == "optimal"
         assert res.value == pytest.approx(-2.0, abs=1e-9)
         assert np.allclose(res.x, [-1, -1], atol=1e-9)
+        # no negative bound, so no phase one; one pivot per coordinate
+        assert res.pivots == (0, 2)
 
     def test_infeasible(self):
-        lp = LinearProgram([1.0], [[1.0], [-1.0]], [-2.0, 1.0])  # x <= -2, x >= -1
-        assert lp_solve(lp).status == "infeasible"
+        assert lp_solve(INFEASIBLE_LP).status == "infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram([1.0], [[1.0]], [0.0])  # min x s.t. x <= 0
-        assert lp_solve(lp).status == "unbounded"
+        assert lp_solve(UNBOUNDED_LP).status == "unbounded"
 
     def test_negative_rhs_phase_one(self):
-        # x >= 3 written as -x <= -3; min x = 3
-        lp = LinearProgram([1.0], [[-1.0], [1.0]], [-3.0, 10.0])
-        res = lp_solve(lp)
+        res = lp_solve(PHASE_ONE_LP)
         assert res.status == "optimal"
         assert res.value == pytest.approx(3.0, abs=1e-9)
+        assert res.pivots[0] >= 1
 
     def test_dimension_cap(self):
         d = 65
@@ -107,6 +134,91 @@ class TestLpSolve:
             res = lp_solve(lp)
             assert res.status == "optimal"
             assert res.value == pytest.approx(brute_force_lp_value(lp), abs=1e-7)
+
+
+def assert_same_solve(lp):
+    """The vectorised simplex takes the loop oracle's pivots and returns its
+    result bit for bit."""
+    got, want = lp_solve(lp), lp_solve_loop(lp)
+    assert (got.status, got.pivots, got.value) == (want.status, want.pivots, want.value)
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want.x)
+        assert got.x.tobytes() == want.x.tobytes()  # signed zeros too
+
+
+def distance_lps(p1, p2, mode, budget=4):
+    """Every LP one Hausdorff call solves, in call order."""
+    lps = []
+
+    def recording(lp):
+        lps.append(lp)
+        return lp_solve(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hausdorff_module, "lp_solve", recording)
+        hausdorff_distance(p1, p2, mode=mode, budget=budget, seed=3)
+    return lps
+
+
+class TestVectorisedSimplex:
+    def test_random_lps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(80):
+            assert_same_solve(random_bounded_lp(rng, int(rng.integers(1, 9))))
+
+    def test_small_integer_lps(self):
+        # entries in {-1, 0, 1}: many zeros, ties and degenerate pivots
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            assert_same_solve(LinearProgram(rng.integers(-1, 2, size=d),
+                                            rng.integers(-1, 2, size=(m, d)),
+                                            rng.integers(-1, 2, size=m)))
+
+    def test_edge_cases(self):
+        for lp in (INFEASIBLE_LP, UNBOUNDED_LP, PHASE_ONE_LP, NEAR_TIE_LP, SIGNED_ZERO_LP):
+            assert_same_solve(lp)
+        assert lp_solve(NEAR_TIE_LP).x.tolist() == [0.0]
+        assert np.signbit(lp_solve(SIGNED_ZERO_LP).x[0])
+
+    @pytest.mark.parametrize("shape,seed,mode", [
+        ((3, 2, 1), 0, HausdorffMode.EXACT),
+        ((5, 4, 2), 1, HausdorffMode.LOWER_BOUND),
+    ])
+    def test_distance_and_support_lps(self, shape, seed, mode):
+        # the truth and its plug-in estimate, in exact (d=6) or lower (d=20) mode
+        truth = random_problem(*shape, 0.9, seed=seed)
+        empirical, _ = us_irl_se(GenerativeModel(truth, seed), 100)
+        lps = distance_lps(polytope_h_rep(truth), polytope_h_rep(empirical), mode)
+        assert len(lps) > 10
+        for lp in lps:
+            assert_same_solve(lp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),
+           mode=st.sampled_from(list(ConstraintMode)))
+    def test_near_one_discount_stochastic_optimal(self, seed, gamma, mode):
+        # a stochastic optimal policy adds equality rows, so the sets are
+        # lower-dimensional and the LPs degenerate; LOWER/EXACT experts can
+        # make them empty
+        rng = np.random.default_rng(seed)
+        S, A = 3, 2
+        mdp = MdpNoReward(S, A, rng.dirichlet(np.ones(S), size=(S, A)), gamma)
+        probs = np.eye(A)[rng.integers(0, A, size=S)]
+        probs[0] = rng.dirichlet(np.ones(A))
+        expert = ExpertSpec(Policy(rng.dirichlet(np.ones(A), size=S)),
+                            float(rng.uniform(0.1, 0.5)), mode)
+        poly = polytope_h_rep(IrlSeProblem(mdp, Policy(probs), (expert,)))
+        feasibility = LinearProgram(np.zeros(poly.dim), poly.G, poly.h)
+        assert_same_solve(feasibility)
+        if lp_solve(feasibility).status == "infeasible":
+            return
+        # support LPs on both sets, then distance LPs both ways
+        box = box_polytope(np.full(poly.dim, -0.5), np.full(poly.dim, 1.5))
+        for lp in distance_lps(poly, box, HausdorffMode.LOWER_BOUND, budget=3):
+            assert_same_solve(lp)
 
 
 class TestDirectedDistance:

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import irlse.hausdorff as hausdorff_module
 from irlse import (
     ConstraintMode,
     EmptyPolytopeError,
     ExpertSpec,
+    HausdorffMode,
     IrlSeProblem,
     ProblemFormatError,
     RewardFunction,
@@ -27,6 +29,15 @@ from irlse import (
     write_reward,
 )
 from irlse.cli import main
+
+
+def empty_lower_pair():
+    """(base, empty): a LOWER-mode expert identical to the optimal one has
+    gap 0 < xi everywhere, so no reward is feasible for `empty`."""
+    base = lb_chain(1, 2, 0.9, 0.0)
+    empty = IrlSeProblem(base.mdp, base.optimal_policy, (
+        ExpertSpec(base.optimal_policy, 0.3, ConstraintMode.LOWER),))
+    return base, empty
 
 
 @pytest.fixture
@@ -218,11 +229,7 @@ class TestCliHausdorff:
         assert "LP variable cap" in capsys.readouterr().err
 
     def test_empty_feasible_set_exit_four(self, tmp_path):
-        # a LOWER-mode expert identical to the optimal one has gap 0 < xi
-        # everywhere, so no reward is feasible
-        base = lb_chain(1, 2, 0.9, 0.0)
-        empty = IrlSeProblem(base.mdp, base.optimal_policy, (
-            ExpertSpec(base.optimal_policy, 0.3, ConstraintMode.LOWER),))
+        base, empty = empty_lower_pair()
         flat = RewardFunction(np.full((4, 2), 0.5))
         assert not membership_implicit(empty, flat)
         assert not polytope_h_rep(empty).contains(flat)
@@ -233,6 +240,22 @@ class TestCliHausdorff:
         write_problem(b, base)
         assert main(["hausdorff", str(a), str(b), "--mode", "lower",
                      "--budget", "4"]) == 4
+
+    def test_empty_set_exact_mode_skips_enumeration(self, tmp_path, monkeypatch):
+        # a feasibility LP finds the empty set before any row subset is scanned
+        base, empty = empty_lower_pair()
+        enumerated = []
+        monkeypatch.setattr(hausdorff_module, "enumerate_vertices",
+                            lambda poly: enumerated.append(poly))
+        p_empty, p_base = polytope_h_rep(empty), polytope_h_rep(base)
+        for pair in ((p_empty, p_base), (p_base, p_empty)):
+            with pytest.raises(EmptyPolytopeError):
+                hausdorff_distance(*pair, mode=HausdorffMode.EXACT)
+        a, b = tmp_path / "empty.json", tmp_path / "base.json"
+        write_problem(a, empty)
+        write_problem(b, base)
+        assert main(["hausdorff", str(a), str(b), "--mode", "exact"]) == 4
+        assert enumerated == []
 
 
 class TestCliSweep:

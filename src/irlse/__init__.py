@@ -41,6 +41,7 @@ from .hausdorff import (
     EmptyPolytopeError,
     HausdorffMode,
     HausdorffReport,
+    InfeasiblePointError,
     LinearProgram,
     LpResult,
     directed_distance,

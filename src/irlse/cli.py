@@ -6,8 +6,9 @@ problem), hausdorff (distance between two problems' feasible sets), sweep
 (zeta caps and volume bounds).
 
 Exit codes: 0 success / member, 1 non-member (check only), 2 usage error,
-3 data error (unreadable or invalid files), 4 numeric error (enumeration or
-LP dimension cap, empty polytope, search overflow).
+3 data error (unreadable or invalid files), 4 numeric error (enumeration
+dimension cap, empty polytope, an LP point outside its polytope, search
+overflow).
 """
 from __future__ import annotations
 
@@ -328,7 +329,8 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (hausdorff.DimensionCapError, hausdorff.EmptyPolytopeError) as exc:
+    except (hausdorff.DimensionCapError, hausdorff.EmptyPolytopeError,
+            hausdorff.InfeasiblePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,8 +1,9 @@
 """Small dense LP core and Hausdorff distances between reward polytopes.
 
 The metric is the infinity norm throughout. Distances from a point to a
-polytope are one LP; the supremum side of the Hausdorff distance is taken
-over polytope vertices (the point-to-set distance is convex, so it is
+polytope are one LP, shifted to a known point of its feasible region so
+that it needs no phase one; the supremum side of the Hausdorff distance is
+taken over polytope vertices (the point-to-set distance is convex, so it is
 attained at a vertex), enumerated combinatorially for small dimensions or
 sampled via random LP objectives for a certified lower bound.
 """
@@ -20,7 +21,6 @@ LP_TOL = 1e-9
 FEAS_TOL = 1e-8
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
-DEFAULT_LP_DIM_CAP = 64
 
 
 class EmptyPolytopeError(ValueError):
@@ -28,8 +28,12 @@ class EmptyPolytopeError(ValueError):
 
 
 class DimensionCapError(ValueError):
-    """Raised when a dimension exceeds the vertex-enumeration cap or the LP
-    variable cap."""
+    """Raised when a polytope's dimension exceeds the vertex-enumeration cap."""
+
+
+class InfeasiblePointError(ValueError):
+    """Raised when an LP optimum or a given point of a polytope violates one
+    of its rows by more than FEAS_TOL; no number is computed from it."""
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,6 @@ class LinearProgram:
             raise ValueError("inconsistent LP shapes")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
             raise ValueError("LP data must be finite")
-        if G.shape[1] > DEFAULT_LP_DIM_CAP:
-            raise DimensionCapError(
-                f"dimension {G.shape[1]} exceeds the LP variable cap {DEFAULT_LP_DIM_CAP}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
@@ -171,14 +172,42 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     return LpResult("optimal", float(lp.c @ x), x, pivots)
 
 
-def directed_distance(r0, polytope: RewardPolytope) -> float:
+def _slack(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """h - G point for a point of {G x <= h}: rounding residues down to
+    -FEAS_TOL read 0; a larger violation raises InfeasiblePointError."""
+    slack = h - G @ point
+    if np.any(slack < -FEAS_TOL):
+        raise InfeasiblePointError(
+            f"point violates a polytope row by {-float(np.min(slack)):.3g}")
+    return np.maximum(slack, 0.0)
+
+
+def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
     """inf over the polytope of the infinity-norm distance to r0, as one LP
-    in dim + 1 variables; raises EmptyPolytopeError on an empty polytope."""
+    in dim + 1 variables.
+
+    The LP is written in (r - p, t - T) for a point p of the polytope and
+    T = max|r0 - p|. Its origin (p, T) is feasible with every slack basic,
+    so the simplex needs no phase one, and the distance is T plus the LP
+    value. p is `inside` when given; otherwise a zero-cost LP finds one and
+    raises EmptyPolytopeError on an empty polytope. A p outside the
+    polytope by more than FEAS_TOL raises InfeasiblePointError.
+    """
     vec = np.asarray(getattr(r0, "values", r0), dtype=float).reshape(-1)
     d = polytope.dim
     if vec.shape != (d,):
         raise ValueError("point dimension does not match polytope")
     G, h = polytope.G, polytope.h
+    if inside is None:
+        res = lp_solve(LinearProgram(np.zeros(d), G, h))
+        if res.status == "infeasible":
+            raise EmptyPolytopeError("polytope is empty")
+        inside = res.x
+    anchor = np.asarray(inside, dtype=float).reshape(-1)
+    if anchor.shape != (d,):
+        raise ValueError("inside point dimension does not match polytope")
+    offset = vec - anchor
+    reach = float(np.max(np.abs(offset)))  # T
     eye = np.eye(d)
     ones = np.ones((d, 1))
     big_G = np.vstack([
@@ -186,15 +215,13 @@ def directed_distance(r0, polytope: RewardPolytope) -> float:
         np.hstack([eye, -ones]),
         np.hstack([-eye, -ones]),
     ])
-    big_h = np.concatenate([h, vec, -vec])
+    big_h = np.concatenate([_slack(G, h, anchor), reach + offset, reach - offset])
     c = np.zeros(d + 1)
     c[-1] = 1.0
     res = lp_solve(LinearProgram(c, big_G, big_h))
-    if res.status == "infeasible":
-        raise EmptyPolytopeError("polytope is empty")
-    if res.status != "optimal":  # cannot happen: the objective is >= 0
+    if res.status != "optimal":  # cannot happen: the origin is feasible and t >= 0
         raise RuntimeError(f"unexpected LP status {res.status}")
-    value = res.value
+    value = reach + res.value
     return 0.0 if value < LP_TOL else float(value)
 
 
@@ -237,15 +264,19 @@ def enumerate_vertices(polytope: RewardPolytope) -> np.ndarray:
     pool = np.vstack(candidates)
     # coarse dedupe by rounding, then an exact tolerance pass on the survivors
     _, first = np.unique(np.round(pool, 8), axis=0, return_index=True)
-    pool = pool[np.sort(first)]
-    vertices: list[np.ndarray] = []
+    return _drop_near_duplicates(pool[np.sort(first)])
+
+
+def _drop_near_duplicates(pool: np.ndarray) -> np.ndarray:
+    """The points of `pool`, in order, that lie at least DEDUPE_TOL (infinity
+    norm) from every point kept before them."""
+    kept = np.empty_like(pool)  # filled up to k
+    k = 0
     for point in pool:
-        for known in vertices:
-            if np.max(np.abs(known - point)) < DEDUPE_TOL:
-                break
-        else:
-            vertices.append(point)
-    return np.array(vertices).reshape(len(vertices), d)
+        if not np.any(np.max(np.abs(kept[:k] - point), axis=1) < DEDUPE_TOL):
+            kept[k] = point
+            k += 1
+    return kept[:k].copy()
 
 
 def sample_support_points(polytope: RewardPolytope, budget: int,
@@ -263,6 +294,7 @@ def sample_support_points(polytope: RewardPolytope, budget: int,
         if res.status == "infeasible":
             raise EmptyPolytopeError("polytope is empty")
         if res.status == "optimal":
+            _slack(polytope.G, polytope.h, res.x)  # raises on an optimum outside
             points.append(res.x)
     return np.array(points).reshape(len(points), d)
 
@@ -280,10 +312,14 @@ class HausdorffReport:
     witness_point: np.ndarray  # point attaining the max
 
 
-def _directed_sup(points: np.ndarray, target: RewardPolytope):
+def _directed_sup(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray):
+    """Largest distance from `points` to `target` and a point attaining it.
+    Each LP starts from the anchor (a point of `target`) nearest to its
+    query point, so T is the tightest upper bound at hand."""
     best, arg = 0.0, None
     for point in points:
-        dist = directed_distance(point, target)
+        nearest = anchors[np.argmin(np.max(np.abs(anchors - point), axis=1))]
+        dist = directed_distance(point, target, inside=nearest)
         if dist > best or arg is None:
             best, arg = dist, point
     return best, arg
@@ -294,19 +330,16 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
                        budget: int = 64, seed: int = 0) -> HausdorffReport:
     """Infinity-norm Hausdorff distance between two reward polytopes.
 
-    EXACT mode enumerates all vertices of both polytopes; LOWER_BOUND mode
-    uses seeded random-objective support points and returns a certified
-    lower bound that is non-decreasing in the budget. Either mode raises
-    DimensionCapError before any LP when the distance LPs (dim + 1
-    variables) would exceed the LP variable cap. EXACT mode checks each
-    polytope for emptiness with one zero-cost LP before enumerating.
+    EXACT mode enumerates all vertices of both polytopes (DimensionCapError
+    above the enumeration cap); it first checks each polytope for emptiness
+    with one zero-cost LP. LOWER_BOUND mode uses seeded random-objective
+    support points and returns a certified lower bound that is
+    non-decreasing in the budget. Every distance LP from one side's points
+    to the other polytope starts at the nearest of that polytope's own
+    vertices or support points, so none of them runs a phase one.
     """
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
-    if p1.dim + 1 > DEFAULT_LP_DIM_CAP:
-        raise DimensionCapError(
-            f"distance LPs need {p1.dim + 1} variables, over the LP variable cap "
-            f"{DEFAULT_LP_DIM_CAP}")
     if mode is HausdorffMode.EXACT:
         # one phase-one LP per polytope finds an empty set before any
         # row subset is scanned
@@ -323,7 +356,7 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
         pts2 = sample_support_points(p2, budget, rng2)
     if pts1.shape[0] == 0 or pts2.shape[0] == 0:
         raise EmptyPolytopeError("polytope has no feasible points")
-    d12, w12 = _directed_sup(pts1, p2)
-    d21, w21 = _directed_sup(pts2, p1)
+    d12, w12 = _directed_sup(pts1, p2, pts2)
+    d21, w21 = _directed_sup(pts2, p1, pts1)
     value, witness = (d12, w12) if d12 >= d21 else (d21, w21)
     return HausdorffReport(float(value), mode, (float(d12), float(d21)), witness)

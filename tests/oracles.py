@@ -1,5 +1,9 @@
 """Independent oracles the tests check the package against: Q-level
-membership, value iteration and the row-by-row simplex."""
+membership, value iteration, the row-by-row simplex, the pairwise vertex
+dedupe, and HiGHS point-to-polytope distances over independently
+enumerated vertices."""
+import itertools
+
 import numpy as np
 
 from irlse.feasible import (
@@ -10,7 +14,7 @@ from irlse.feasible import (
     Violation,
     _check_reward_box,
 )
-from irlse.hausdorff import LP_TOL, LinearProgram, LpResult
+from irlse.hausdorff import DEDUPE_TOL, LP_TOL, LinearProgram, LpResult
 from irlse.mdp import (
     MdpNoReward,
     Policy,
@@ -185,3 +189,73 @@ def lp_solve_loop(lp: LinearProgram) -> LpResult:
     full[basis] = rhs
     x = full[:d] - full[d:2 * d]
     return LpResult("optimal", float(lp.c @ x), x, pivots)
+
+
+def drop_near_duplicates_loop(pool: np.ndarray) -> np.ndarray:
+    """The final tolerance dedupe of enumerate_vertices, one comparison per
+    (point, kept vertex) pair; oracle for the vectorised pass, which must
+    keep the same points in the same order."""
+    d = pool.shape[1]
+    vertices: list[np.ndarray] = []
+    for point in pool:
+        for known in vertices:
+            if np.max(np.abs(known - point)) < DEDUPE_TOL:
+                break
+        else:
+            vertices.append(point)
+    return np.array(vertices).reshape(len(vertices), d)
+
+
+# vertices are exact up to rounding; tight tolerances keep HiGHS from
+# stopping at a point that is only 1e-7-feasible
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
+
+
+def vertices_by_subsets(G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Every basic feasible point of {x : G x <= h}, from all dim-subsets of
+    rows, with near-duplicates left in (harmless to a supremum)."""
+    d = G.shape[1]
+    subsets = np.array(list(itertools.combinations(range(G.shape[0]), d)))
+    subs = G[subsets]
+    regular = np.abs(np.linalg.det(subs)) > 1e-12
+    points = np.linalg.solve(subs[regular], h[subsets][regular][..., None])[..., 0]
+    return points[np.all(points @ G.T <= h + 1e-8, axis=1)]
+
+
+def highs_is_empty(G: np.ndarray, h: np.ndarray) -> bool:
+    """Whether HiGHS finds {x : G x <= h} infeasible."""
+    from scipy.optimize import linprog
+    res = linprog(np.zeros(G.shape[1]), A_ub=G, b_ub=h, bounds=(None, None),
+                  method="highs", options=HIGHS_OPTIONS)
+    assert res.status in (0, 2), res.message
+    return res.status == 2
+
+
+def highs_support_points(directions: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """argmax of direction . x over {x : G x <= h}, one row per direction."""
+    from scipy.optimize import linprog
+    points = []
+    for direction in directions:
+        res = linprog(-direction, A_ub=G, b_ub=h, bounds=(None, None),
+                      method="highs", options=HIGHS_OPTIONS)
+        assert res.status == 0, res.message
+        points.append(res.x)
+    return np.array(points).reshape(len(directions), G.shape[1])
+
+
+def highs_directed_sup(points: np.ndarray, G: np.ndarray, h: np.ndarray) -> float:
+    """Largest infinity-norm distance from `points` to {x : G x <= h}: one
+    HiGHS LP in (x, t) per point, solved together as a block-diagonal LP."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+    k, d = points.shape
+    block = np.vstack([np.hstack([G, np.zeros((G.shape[0], 1))]),
+                       np.hstack([np.eye(d), -np.ones((d, 1))]),
+                       np.hstack([-np.eye(d), -np.ones((d, 1))])])
+    rhs = np.concatenate([np.concatenate([h, p, -p]) for p in points])
+    cost = np.tile(np.r_[np.zeros(d), 1.0], k)
+    res = linprog(cost, A_ub=sparse.block_diag([block] * k, format="csr"), b_ub=rhs,
+                  bounds=(None, None), method="highs", options=HIGHS_OPTIONS)
+    assert res.status == 0, res.message
+    return float(np.max(res.x.reshape(k, d + 1)[:, -1]))

@@ -14,8 +14,10 @@ from irlse import (
     ExpertSpec,
     GenerativeModel,
     HausdorffMode,
+    InfeasiblePointError,
     IrlSeProblem,
     LinearProgram,
+    LpResult,
     MdpNoReward,
     Policy,
     RewardPolytope,
@@ -23,13 +25,21 @@ from irlse import (
     enumerate_vertices,
     example_fig1,
     hausdorff_distance,
+    lb_chain,
+    lb_subopt,
     lp_solve,
     polytope_h_rep,
     random_problem,
     sample_support_points,
     us_irl_se,
 )
-from oracles import lp_solve_loop
+from oracles import (
+    drop_near_duplicates_loop,
+    highs_directed_sup,
+    highs_is_empty,
+    lp_solve_loop,
+    vertices_by_subsets,
+)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -109,11 +119,6 @@ class TestLpSolve:
         assert res.value == pytest.approx(3.0, abs=1e-9)
         assert res.pivots[0] >= 1
 
-    def test_dimension_cap(self):
-        d = 65
-        with pytest.raises(ValueError, match="cap"):
-            LinearProgram(np.zeros(d), np.eye(d), np.ones(d))
-
     def test_random_lps_match_scipy(self):
         rng = np.random.default_rng(0)
         for _ in range(60):
@@ -148,8 +153,24 @@ def assert_same_solve(lp):
         assert got.x.tobytes() == want.x.tobytes()  # signed zeros too
 
 
-def distance_lps(p1, p2, mode, budget=4):
-    """Every LP one Hausdorff call solves, in call order."""
+def near_one_discount_polytopes(seed, gamma, modes):
+    """One polytope per expert mode on a shared 3x2 MDP whose optimal policy
+    is stochastic in state 0; each has a single expert of that mode."""
+    rng = np.random.default_rng(seed)
+    S, A = 3, 2
+    mdp = MdpNoReward(S, A, rng.dirichlet(np.ones(S), size=(S, A)), gamma)
+    probs = np.eye(A)[rng.integers(0, A, size=S)]
+    probs[0] = rng.dirichlet(np.ones(A))
+    polys = []
+    for mode in modes:
+        expert = ExpertSpec(Policy(rng.dirichlet(np.ones(A), size=S)),
+                            float(rng.uniform(0.1, 0.5)), mode)
+        polys.append(polytope_h_rep(IrlSeProblem(mdp, Policy(probs), (expert,))))
+    return polys
+
+
+def solved_lps(call, *args, **kwargs):
+    """Every LP `call(*args, **kwargs)` solves, in call order, and its result."""
     lps = []
 
     def recording(lp):
@@ -158,7 +179,13 @@ def distance_lps(p1, p2, mode, budget=4):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hausdorff_module, "lp_solve", recording)
-        hausdorff_distance(p1, p2, mode=mode, budget=budget, seed=3)
+        result = call(*args, **kwargs)
+    return lps, result
+
+
+def distance_lps(p1, p2, mode, budget=4):
+    """Every LP one Hausdorff call solves, in call order."""
+    lps, _ = solved_lps(hausdorff_distance, p1, p2, mode=mode, budget=budget, seed=3)
     return lps
 
 
@@ -203,14 +230,7 @@ class TestVectorisedSimplex:
         # a stochastic optimal policy adds equality rows, so the sets are
         # lower-dimensional and the LPs degenerate; LOWER/EXACT experts can
         # make them empty
-        rng = np.random.default_rng(seed)
-        S, A = 3, 2
-        mdp = MdpNoReward(S, A, rng.dirichlet(np.ones(S), size=(S, A)), gamma)
-        probs = np.eye(A)[rng.integers(0, A, size=S)]
-        probs[0] = rng.dirichlet(np.ones(A))
-        expert = ExpertSpec(Policy(rng.dirichlet(np.ones(A), size=S)),
-                            float(rng.uniform(0.1, 0.5)), mode)
-        poly = polytope_h_rep(IrlSeProblem(mdp, Policy(probs), (expert,)))
+        (poly,) = near_one_discount_polytopes(seed, gamma, (mode,))
         feasibility = LinearProgram(np.zeros(poly.dim), poly.G, poly.h)
         assert_same_solve(feasibility)
         if lp_solve(feasibility).status == "infeasible":
@@ -219,6 +239,25 @@ class TestVectorisedSimplex:
         box = box_polytope(np.full(poly.dim, -0.5), np.full(poly.dim, 1.5))
         for lp in distance_lps(poly, box, HausdorffMode.LOWER_BOUND, budget=3):
             assert_same_solve(lp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),
+           modes=st.tuples(st.sampled_from(list(ConstraintMode)),
+                           st.sampled_from(list(ConstraintMode))))
+    def test_near_one_discount_exact_distance_matches_highs(self, seed, gamma, modes):
+        # the same draws with two experts, one per set: the exact distance
+        # equals HiGHS over independently enumerated vertices, and an empty
+        # set raises
+        p1, p2 = near_one_discount_polytopes(seed, gamma, modes)
+        if highs_is_empty(p1.G, p1.h) or highs_is_empty(p2.G, p2.h):
+            with pytest.raises(EmptyPolytopeError):
+                hausdorff_distance(p1, p2)
+            return
+        rep = hausdorff_distance(p1, p2)
+        d12 = highs_directed_sup(vertices_by_subsets(p1.G, p1.h), p2.G, p2.h)
+        d21 = highs_directed_sup(vertices_by_subsets(p2.G, p2.h), p1.G, p1.h)
+        assert rep.directed[0] == pytest.approx(d12, abs=1e-7)
+        assert rep.directed[1] == pytest.approx(d21, abs=1e-7)
 
 
 class TestDirectedDistance:
@@ -245,6 +284,52 @@ class TestDirectedDistance:
         for vertex in enumerate_vertices(poly):
             assert directed_distance(vertex, poly) == 0.0
 
+    def test_any_inside_point_gives_the_distance(self):
+        # the LP starts at (inside, max|r0 - inside|); where it starts does
+        # not change the optimum
+        poly = polytope_h_rep(random_problem(3, 2, 1, 0.9, seed=0))
+        vertices = enumerate_vertices(poly)
+        rng = np.random.default_rng(4)
+        for point in rng.uniform(-0.2, 1.2, size=(10, poly.dim)):
+            want = highs_directed_sup(point[None, :], poly.G, poly.h)
+            assert directed_distance(point, poly) == pytest.approx(want, abs=1e-9)
+            for anchor in vertices[::20]:
+                got = directed_distance(point, poly, inside=anchor)
+                assert got == pytest.approx(want, abs=1e-9)
+
+    def test_inside_point_outside_raises(self):
+        box = box_polytope([0, 0], [1, 1])
+        with pytest.raises(InfeasiblePointError):
+            directed_distance(np.array([2.0, 0.5]), box, inside=np.array([1.0 + 1e-6, 0.5]))
+        with pytest.raises(ValueError, match="dimension"):
+            directed_distance(np.array([2.0, 0.5]), box, inside=np.array([0.5]))
+
+    def test_rounding_residue_of_inside_point_is_clipped(self):
+        # a point outside by less than FEAS_TOL counts as a point of the set;
+        # its negative slack is read as 0, so the LP needs no phase one
+        box = box_polytope([0, 0], [1, 1])
+        lps, dist = solved_lps(directed_distance, np.array([2.0, 0.5]), box,
+                               inside=np.array([1.0 + 1e-12, 0.5]))
+        assert len(lps) == 1
+        assert dist == pytest.approx(1.0, abs=1e-9)
+        assert np.all(lps[0].h >= 0.0) and lp_solve(lps[0]).pivots[0] == 0
+
+    @pytest.mark.parametrize("shape,seed,mode", [
+        ((3, 2, 1), 0, HausdorffMode.EXACT),
+        ((5, 4, 2), 1, HausdorffMode.LOWER_BOUND),
+    ])
+    def test_distance_lps_skip_phase_one(self, shape, seed, mode):
+        truth = random_problem(*shape, 0.9, seed=seed)
+        empirical, _ = us_irl_se(GenerativeModel(truth, seed), 100)
+        lps = distance_lps(polytope_h_rep(truth), polytope_h_rep(empirical), mode)
+        distance = [lp for lp in lps if lp.G.shape[1] == truth.dim + 1]
+        assert len(distance) >= 8
+        assert all(np.all(lp.h >= 0.0) for lp in distance)
+        assert all(lp_solve(lp).pivots[0] == 0 for lp in distance)
+        if mode is HausdorffMode.EXACT:
+            # plus one feasibility LP per polytope
+            assert len(lps) == len(distance) + 2
+
 
 class TestVertexEnumeration:
     def test_unit_square(self):
@@ -268,6 +353,42 @@ class TestVertexEnumeration:
                               tuple(["box"] * 2 * d))
         with pytest.raises(DimensionCapError):
             enumerate_vertices(poly)
+
+    def test_dedupe_matches_pairwise_loop(self):
+        # the pools enumerate_vertices dedupes on the d=8 lower-bound
+        # polytopes and on random d <= 8 polytopes
+        pools = []
+        dedupe = hausdorff_module._drop_near_duplicates
+        polys = []
+        for g in (0.8, 0.9):
+            for e in (0.05, 0.1):
+                polys += [polytope_h_rep(lb_chain(1, 2, g, e, v))
+                          for v in (None, (0, 0), (0, 1))]
+            polys += [polytope_h_rep(lb_subopt(2, g, 0.1, 0.25, 2.0, s))
+                      for s in (None, 0, 1)]
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            # a box cut by up to three random rows through it
+            d = int(rng.integers(1, 9))
+            cuts = rng.standard_normal((int(rng.integers(1, 4)), d))
+            G = np.vstack([cuts, np.eye(d), -np.eye(d)])
+            h = np.concatenate([cuts @ rng.uniform(0, 1, d), np.ones(d), np.zeros(d)])
+            polys.append(RewardPolytope(1, d, G, h, tuple(["row"] * G.shape[0])))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hausdorff_module, "_drop_near_duplicates",
+                          lambda pool: pools.append(pool) or dedupe(pool))
+            for poly in polys:
+                enumerate_vertices(poly)
+        # and a pool of points within, at and just beyond DEDUPE_TOL
+        base = rng.uniform(0, 1, size=(6, 4))
+        shifts = hausdorff_module.DEDUPE_TOL * np.array([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
+        near = (base[:, None, :] + shifts[None, :, None]
+                * rng.choice([-1.0, 1.0], size=(6, 6, 4))).reshape(-1, 4)
+        pools.append(near[rng.permutation(len(near))])
+        assert len(pools) == len(polys) + 1
+        for pool in pools:
+            got, want = dedupe(pool), drop_near_duplicates_loop(pool)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_vertices_feasible(self):
         poly = polytope_h_rep(example_fig1(0.9, 0.5))
@@ -319,6 +440,22 @@ class TestHausdorff:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
             hausdorff_distance(box_polytope([0], [1]), box_polytope([0, 0], [1, 1]))
+
+    def test_nonempty_pair_is_not_reported_empty(self):
+        # phase one of the unshifted distance LP declared this non-empty
+        # pair infeasible; HiGHS gives 0.10466604803247626
+        truth = random_problem(5, 4, 2, 0.9, seed=1)
+        empirical, _ = us_irl_se(GenerativeModel(truth, 995966919), 100)
+        rep = hausdorff_distance(polytope_h_rep(truth), polytope_h_rep(empirical),
+                                 HausdorffMode.LOWER_BOUND, budget=16, seed=2000803381)
+        assert rep.value == pytest.approx(0.104666048032476, abs=1e-9)
+
+    def test_support_optimum_outside_raises(self, monkeypatch):
+        poly = box_polytope([0, 0], [1, 1])
+        monkeypatch.setattr(hausdorff_module, "lp_solve",
+                            lambda lp: LpResult("optimal", 0.0, np.array([1.5, 0.5])))
+        with pytest.raises(InfeasiblePointError):
+            sample_support_points(poly, 2, np.random.default_rng(0))
 
     def test_sampled_points_prefix_property(self):
         poly = polytope_h_rep(example_fig1(0.9, 0.5))

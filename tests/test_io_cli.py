@@ -12,6 +12,7 @@ from irlse import (
     ExpertSpec,
     HausdorffMode,
     IrlSeProblem,
+    LpResult,
     ProblemFormatError,
     RewardFunction,
     example_fig1,
@@ -29,6 +30,7 @@ from irlse import (
     write_reward,
 )
 from irlse.cli import main
+from oracles import highs_directed_sup, highs_support_points
 
 
 def empty_lower_pair():
@@ -222,11 +224,35 @@ class TestCliHausdorff:
         write_problem(big, random_problem(4, 3, 1, 0.5, seed=0))
         assert main(["hausdorff", str(big), str(big), "--mode", "exact"]) == 4
 
-    def test_lp_cap_exit_four(self, d64_path, capsys):
-        # distance LPs at d = 64 need 65 variables, one over the LP cap
-        assert main(["hausdorff", str(d64_path), str(d64_path), "--mode", "lower",
-                     "--budget", "1"]) == 4
-        assert "LP variable cap" in capsys.readouterr().err
+    def test_d64_lower_mode_matches_highs(self, d64_path, tmp_path, capsys):
+        # no LP variable cap: the d = 64 lower bound equals the one HiGHS
+        # computes from the same seeded directions
+        pytest.importorskip("scipy.optimize")
+        emp_path = tmp_path / "emp.json"
+        assert main(["estimate", str(d64_path), str(emp_path), "--m", "10",
+                     "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(["hausdorff", str(d64_path), str(emp_path), "--mode", "lower",
+                     "--budget", "2", "--seed", "5"]) == 0
+        value = float(capsys.readouterr().out.splitlines()[-1].split()[1])
+        a = polytope_h_rep(read_problem(d64_path)[0])
+        b = polytope_h_rep(read_problem(emp_path)[0])
+        points_a = highs_support_points(
+            np.random.default_rng(5).standard_normal((2, 64)), a.G, a.h)
+        points_b = highs_support_points(
+            np.random.default_rng(6).standard_normal((2, 64)), b.G, b.h)
+        want = max(highs_directed_sup(points_a, b.G, b.h),
+                   highs_directed_sup(points_b, a.G, a.h))
+        assert want > 0.0
+        assert value == pytest.approx(want, abs=1e-9)
+
+    def test_lp_optimum_outside_exit_four(self, fig1_path, monkeypatch, capsys):
+        # an LP point that violates its polytope is an error, not a number
+        monkeypatch.setattr(hausdorff_module, "lp_solve",
+                            lambda lp: LpResult("optimal", 0.0, np.full(lp.G.shape[1], 5.0)))
+        assert main(["hausdorff", str(fig1_path), str(fig1_path), "--mode", "lower",
+                     "--budget", "2"]) == 4
+        assert "violates" in capsys.readouterr().err
 
     def test_empty_feasible_set_exit_four(self, tmp_path):
         base, empty = empty_lower_pair()
@@ -259,10 +285,6 @@ class TestCliHausdorff:
 
 
 class TestCliSweep:
-    def test_lp_cap_exit_four(self, d64_path, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(d64_path), str(out), "--t-grid", "10"]) == 4
-
     def test_schema_and_sorting(self, tmp_path):
         src = tmp_path / "p.json"
         write_problem(src, random_problem(2, 2, 1, 0.5, seed=3))

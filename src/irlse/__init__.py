@@ -27,8 +27,6 @@ from .feasible import (
     MembershipReport,
     RewardPolytope,
     ZetaCaps,
-    check_zeta_constraints,
-    expert_zeta_load,
     membership_implicit,
     params_from_reward,
     polytope_h_rep,

@@ -5,10 +5,10 @@ problem), hausdorff (distance between two problems' feasible sets), sweep
 (accuracy-vs-samples CSV), lb (benchmark instance generation), volume
 (zeta caps and volume bounds).
 
-Exit codes: 0 success / member, 1 non-member (check only), 2 usage error,
-3 data error (unreadable or invalid files), 4 numeric error (enumeration
-dimension cap, empty polytope, an LP point outside its polytope, search
-overflow).
+Exit codes: 0 success / member, 1 non-member (check only), 2 usage error
+(including out-of-range flag values), 3 data error (unreadable, invalid or
+unwritable files), 4 numeric error (enumeration dimension cap, empty
+polytope, an LP point outside its polytope, search overflow).
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def cmd_estimate(args) -> int:
                 problem.num_actions, problem.num_experts,
                 problem.mdp.discount, consts.pi_min_support,
                 max(ex.xi for ex in problem.experts))
-        except (ValueError, RuntimeError) as exc:
+        except RuntimeError as exc:  # the search for m overflowed
             raise _CliError(EXIT_NUMERIC, str(exc)) from exc
     model = estimation.GenerativeModel(problem, args.seed)
     empirical, dataset = estimation.us_irl_se(model, m)
@@ -158,8 +158,6 @@ def cmd_sweep(args) -> int:
     problem, _ = _load_problem(args.problem)
     if problem.num_experts == 0:
         raise _CliError(EXIT_DATA, "sweep needs at least one sub-optimal expert")
-    if not args.t_grid:
-        raise _CliError(EXIT_USAGE, "empty t grid")
     truth_poly = feasible.polytope_h_rep(problem)
     exact_ok = problem.dim <= hausdorff.DEFAULT_ENUM_CAP
     rows = [_sweep_one(problem, truth_poly, s, t, args.delta, exact_ok)
@@ -250,6 +248,29 @@ def cmd_volume(args) -> int:
     return EXIT_OK
 
 
+def _checked(cast, ok, name: str):
+    """argparse type: `cast(text)` when it satisfies `ok`; otherwise argparse
+    prints "invalid <name> value" and exits 2."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
+
+
+def _int_list(text: str) -> list:
+    return [int(part) for part in text.split(",")]
+
+
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "non-negative integer")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "positive integer")
+_OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "number in (0, 1)")
+_SEED_LIST = _checked(_int_list, lambda v: min(v) >= 0, "non-negative integer list")
+_T_GRID = _checked(_int_list, lambda v: min(v) >= 1, "positive integer list")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irlse",
@@ -265,29 +286,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="sample a problem with the uniform sampler")
     p.add_argument("problem")
     p.add_argument("out")
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_NON_NEGATIVE_INT, default=None,
                    help="samples per state-action pair")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon", type=_OPEN_UNIT, default=None)
+    p.add_argument("--delta", type=_OPEN_UNIT, default=None)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("hausdorff", help="distance between two feasible sets")
     p.add_argument("problem_a")
     p.add_argument("problem_b")
     p.add_argument("--mode", choices=["exact", "lower"], default="exact")
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_POSITIVE_INT, default=64)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("sweep", help="accuracy-vs-samples CSV over seeds and t")
     p.add_argument("problem")
     p.add_argument("out")
-    p.add_argument("--t-grid", type=lambda s: [int(x) for x in s.split(",")],
-                   required=True)
-    p.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[0])
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--t-grid", type=_T_GRID, required=True)
+    p.add_argument("--seeds", type=_SEED_LIST, default=[0])
+    p.add_argument("--delta", type=_OPEN_UNIT, default=0.05)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lb", help="generate benchmark instances")
@@ -333,6 +352,9 @@ def main(argv=None) -> int:
             hausdorff.InfeasiblePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

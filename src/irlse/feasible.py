@@ -16,7 +16,6 @@ from .mdp import (
     MdpNoReward,
     Policy,
     RewardFunction,
-    apply_policy,
     mask_unsupported,
     occupancy_matrix,
     value_functions,
@@ -78,10 +77,6 @@ class IrlSeProblem:
     @property
     def dim(self) -> int:
         return self.num_states * self.num_actions
-
-    def without_expert(self, index: int) -> "IrlSeProblem":
-        experts = tuple(ex for j, ex in enumerate(self.experts) if j != index)
-        return IrlSeProblem(self.mdp, self.optimal_policy, experts)
 
 
 @dataclass(frozen=True)
@@ -193,40 +188,6 @@ def params_from_reward(problem: IrlSeProblem, r: RewardFunction,
     return CanonicalParams(zeta, v1)
 
 
-def expert_zeta_load(problem: IrlSeProblem, expert: ExpertSpec, zeta: np.ndarray) -> np.ndarray:
-    """Per-state load y = D^{expert} (pi_expert applied to Bbar^{opt} zeta)."""
-    masked = mask_unsupported(problem.optimal_policy, zeta)
-    per_state = apply_policy(expert.policy, masked)
-    d = occupancy_matrix(problem.mdp, expert.policy)
-    return d @ per_state
-
-
-@dataclass(frozen=True)
-class ZetaConstraintVerdict:
-    satisfied: bool
-    slack: np.ndarray  # xi - y per state
-
-
-def check_zeta_constraints(problem: IrlSeProblem, zeta, tol: float = DEFAULT_TOL):
-    """Check the per-expert linear constraints on zeta; returns one verdict
-    per expert with the slack vector xi - y."""
-    zeta = np.asarray(zeta, dtype=float)
-    if np.any(zeta < -tol):
-        raise ValueError("zeta must be non-negative")
-    verdicts = []
-    for ex in problem.experts:
-        y = expert_zeta_load(problem, ex, zeta)
-        slack = ex.xi - y
-        if ex.mode is ConstraintMode.UPPER:
-            ok = bool(np.all(slack >= -tol))
-        elif ex.mode is ConstraintMode.LOWER:
-            ok = bool(np.all(slack <= tol))
-        else:
-            ok = bool(np.all(np.abs(slack) <= tol))
-        verdicts.append(ZetaConstraintVerdict(ok, slack))
-    return verdicts
-
-
 @dataclass(frozen=True)
 class ZetaCaps:
     """Element-wise caps on zeta: g = min(k, 1/(1-gamma)) where k is finite."""
@@ -315,7 +276,7 @@ def _value_functional(m: MdpNoReward, pi: Policy) -> np.ndarray:
     return (occupancy_matrix(m, pi)[:, :, None] * pi.probs[None]).reshape(S, S * A)
 
 
-def polytope_h_rep(problem: IrlSeProblem, tol: float = DEFAULT_TOL) -> RewardPolytope:
+def polytope_h_rep(problem: IrlSeProblem) -> RewardPolytope:
     """Affine transcription of the membership conditions into G vec(r) <= h.
 
     Emits box rows, optimality rows for pairs unplayed by the optimal expert,

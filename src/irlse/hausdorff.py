@@ -182,6 +182,15 @@ def _slack(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.maximum(slack, 0.0)
 
 
+def _feasible_point(polytope: RewardPolytope) -> np.ndarray:
+    """A point of the polytope from one zero-cost LP; EmptyPolytopeError
+    when it has none."""
+    res = lp_solve(LinearProgram(np.zeros(polytope.dim), polytope.G, polytope.h))
+    if res.status == "infeasible":
+        raise EmptyPolytopeError("polytope is empty")
+    return res.x
+
+
 def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
     """inf over the polytope of the infinity-norm distance to r0, as one LP
     in dim + 1 variables.
@@ -199,10 +208,7 @@ def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
         raise ValueError("point dimension does not match polytope")
     G, h = polytope.G, polytope.h
     if inside is None:
-        res = lp_solve(LinearProgram(np.zeros(d), G, h))
-        if res.status == "infeasible":
-            raise EmptyPolytopeError("polytope is empty")
-        inside = res.x
+        inside = _feasible_point(polytope)
     anchor = np.asarray(inside, dtype=float).reshape(-1)
     if anchor.shape != (d,):
         raise ValueError("inside point dimension does not match polytope")
@@ -309,20 +315,17 @@ class HausdorffReport:
     value: float
     mode: HausdorffMode
     directed: tuple  # (sup over P1 side, sup over P2 side)
-    witness_point: np.ndarray  # point attaining the max
 
 
-def _directed_sup(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray):
-    """Largest distance from `points` to `target` and a point attaining it.
-    Each LP starts from the anchor (a point of `target`) nearest to its
-    query point, so T is the tightest upper bound at hand."""
-    best, arg = 0.0, None
+def _directed_sup(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray) -> float:
+    """Largest distance from `points` to `target`. Each LP starts from the
+    anchor (a point of `target`) nearest to its query point, so T is the
+    tightest upper bound at hand."""
+    best = 0.0
     for point in points:
         nearest = anchors[np.argmin(np.max(np.abs(anchors - point), axis=1))]
-        dist = directed_distance(point, target, inside=nearest)
-        if dist > best or arg is None:
-            best, arg = dist, point
-    return best, arg
+        best = max(best, directed_distance(point, target, inside=nearest))
+    return best
 
 
 def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
@@ -332,31 +335,31 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
 
     EXACT mode enumerates all vertices of both polytopes (DimensionCapError
     above the enumeration cap); it first checks each polytope for emptiness
-    with one zero-cost LP. LOWER_BOUND mode uses seeded random-objective
-    support points and returns a certified lower bound that is
-    non-decreasing in the budget. Every distance LP from one side's points
-    to the other polytope starts at the nearest of that polytope's own
-    vertices or support points, so none of them runs a phase one.
+    with one zero-cost LP. LOWER_BOUND mode uses `budget` (at least 1,
+    else ValueError) seeded random-objective support points per polytope
+    and returns a certified lower bound that is non-decreasing in the
+    budget. Every distance LP from one side's points to the other polytope
+    starts at the nearest of that polytope's own vertices or support
+    points, so none of them runs a phase one.
     """
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
     if mode is HausdorffMode.EXACT:
         # one phase-one LP per polytope finds an empty set before any
         # row subset is scanned
-        for poly in (p1, p2):
-            feasibility = LinearProgram(np.zeros(poly.dim), poly.G, poly.h)
-            if lp_solve(feasibility).status == "infeasible":
-                raise EmptyPolytopeError("polytope is empty")
+        _feasible_point(p1)
+        _feasible_point(p2)
         pts1 = enumerate_vertices(p1)
         pts2 = enumerate_vertices(p2)
     else:
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
         rng1 = np.random.default_rng(seed)
         rng2 = np.random.default_rng(seed + 1)
         pts1 = sample_support_points(p1, budget, rng1)
         pts2 = sample_support_points(p2, budget, rng2)
     if pts1.shape[0] == 0 or pts2.shape[0] == 0:
         raise EmptyPolytopeError("polytope has no feasible points")
-    d12, w12 = _directed_sup(pts1, p2, pts2)
-    d21, w21 = _directed_sup(pts2, p1, pts1)
-    value, witness = (d12, w12) if d12 >= d21 else (d21, w21)
-    return HausdorffReport(float(value), mode, (float(d12), float(d21)), witness)
+    d12 = _directed_sup(pts1, p2, pts2)
+    d21 = _directed_sup(pts2, p1, pts1)
+    return HausdorffReport(float(max(d12, d21)), mode, (float(d12), float(d21)))

@@ -168,9 +168,7 @@ def value_functions(m: MdpNoReward, r: RewardFunction, pi: Policy):
     """
     if pi.probs.shape != r.values.shape or pi.probs.shape != (m.num_states, m.num_actions):
         raise ValueError("shapes of MDP, reward and policy do not agree")
-    trans = policy_transition_matrix(m, pi)
-    system = np.eye(m.num_states) - m.discount * trans
-    v = np.linalg.solve(system, apply_policy(pi, r.values))
+    v = occupancy_matrix(m, pi) @ apply_policy(pi, r.values)
     q = r.values + m.discount * apply_transition(m, v)
     adv = q - v[:, None]
     return q, v, adv

@@ -1,14 +1,17 @@
 """Independent oracles the tests check the package against: Q-level
-membership, value iteration, the row-by-row simplex, the pairwise vertex
-dedupe, and HiGHS point-to-polytope distances over independently
-enumerated vertices."""
+membership, the per-expert constraints on zeta, value iteration, the
+row-by-row simplex, the pairwise vertex dedupe, and HiGHS point-to-polytope
+distances over independently enumerated vertices; plus the problem
+builders several test modules share."""
 import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from irlse.feasible import (
     DEFAULT_TOL,
     ConstraintMode,
+    ExpertSpec,
     IrlSeProblem,
     MembershipReport,
     Violation,
@@ -20,9 +23,33 @@ from irlse.mdp import (
     Policy,
     RewardFunction,
     apply_policy,
+    mask_unsupported,
+    occupancy_matrix,
     policy_transition_matrix,
     value_functions,
 )
+
+
+def without_expert(problem: IrlSeProblem, index: int) -> IrlSeProblem:
+    """The same problem with sub-optimal expert `index` deleted."""
+    return replace(
+        problem, experts=tuple(ex for j, ex in enumerate(problem.experts) if j != index))
+
+
+def near_one_discount_problems(seed, gamma, modes):
+    """One problem per expert mode on a shared 3x2 MDP whose optimal policy
+    is stochastic in state 0; each has a single expert of that mode."""
+    rng = np.random.default_rng(seed)
+    S, A = 3, 2
+    mdp = MdpNoReward(S, A, rng.dirichlet(np.ones(S), size=(S, A)), gamma)
+    probs = np.eye(A)[rng.integers(0, A, size=S)]
+    probs[0] = rng.dirichlet(np.ones(A))
+    problems = []
+    for mode in modes:
+        expert = ExpertSpec(Policy(rng.dirichlet(np.ones(A), size=S)),
+                            float(rng.uniform(0.1, 0.5)), mode)
+        problems.append(IrlSeProblem(mdp, Policy(probs), (expert,)))
+    return problems
 
 
 def _expert_gap_violation(gap: float, xi: float, mode: ConstraintMode, tol: float) -> float:
@@ -73,6 +100,40 @@ def membership_q(problem: IrlSeProblem, r: RewardFunction,
                 if margin > 0.0:
                     violations.append(Violation("expert_gap", s, -1, margin, expert=i))
     return MembershipReport(not violations, tuple(violations))
+
+
+def expert_zeta_load(problem: IrlSeProblem, expert: ExpertSpec, zeta: np.ndarray) -> np.ndarray:
+    """Per-state load y = D^{expert} (pi_expert applied to Bbar^{opt} zeta)."""
+    masked = mask_unsupported(problem.optimal_policy, zeta)
+    per_state = apply_policy(expert.policy, masked)
+    d = occupancy_matrix(problem.mdp, expert.policy)
+    return d @ per_state
+
+
+@dataclass(frozen=True)
+class ZetaConstraintVerdict:
+    satisfied: bool
+    slack: np.ndarray  # xi - y per state
+
+
+def check_zeta_constraints(problem: IrlSeProblem, zeta, tol: float = DEFAULT_TOL):
+    """Check the per-expert linear constraints on zeta; returns one verdict
+    per expert with the slack vector xi - y."""
+    zeta = np.asarray(zeta, dtype=float)
+    if np.any(zeta < -tol):
+        raise ValueError("zeta must be non-negative")
+    verdicts = []
+    for ex in problem.experts:
+        y = expert_zeta_load(problem, ex, zeta)
+        slack = ex.xi - y
+        if ex.mode is ConstraintMode.UPPER:
+            ok = bool(np.all(slack >= -tol))
+        elif ex.mode is ConstraintMode.LOWER:
+            ok = bool(np.all(slack <= tol))
+        else:
+            ok = bool(np.all(np.abs(slack) <= tol))
+        verdicts.append(ZetaConstraintVerdict(ok, slack))
+    return verdicts
 
 
 def value_iteration_values(m: MdpNoReward, r: RewardFunction, pi: Policy,

@@ -5,17 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irlse import (
     CanonicalParams,
+    ConstraintMode,
     GenerativeModel,
     LinearProgram,
     RewardFunction,
-    check_zeta_constraints,
     concentration_radii,
     directed_distance,
     enumerate_vertices,
     error_bound,
+    error_bound_for,
     example_fig1,
     hausdorff_distance,
     lb_chain,
@@ -33,7 +36,13 @@ from irlse import (
     volume_upper_bounds,
     zeta_caps,
 )
-from oracles import membership_q
+from oracles import (
+    check_zeta_constraints,
+    membership_q,
+    near_one_discount_problems,
+    vertices_by_subsets,
+    without_expert,
+)
 
 TOL = 1e-8
 
@@ -74,13 +83,42 @@ def oracle_corpus():
 class TestOracleEquivalence:
     def test_three_way_agreement(self, oracle_corpus):
         for problem, rewards in oracle_corpus:
-            poly = polytope_h_rep(problem, tol=TOL)
+            poly = polytope_h_rep(problem)
             flat = np.stack([r.values.reshape(-1) for r in rewards])
             poly_flags = poly.contains_many(flat, tol=TOL)
             for r, poly_flag in zip(rewards, poly_flags):
                 implicit = bool(membership_implicit(problem, r, tol=TOL))
                 q_level = bool(membership_q(problem, r, tol=TOL))
                 assert implicit == q_level == bool(poly_flag)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]))
+    def test_three_way_agreement_near_one_discount(self, seed, gamma):
+        # stochastic optimal policies (equality rows), UPPER/LOWER/EXACT
+        # experts; uniform rewards plus up to 6 vertices clipped into the
+        # box, which lie on the boundary of the set (vertices need no LP, so
+        # the check does not rest on the simplex)
+        rng = np.random.default_rng(seed)
+        members = 0
+        for problem in near_one_discount_problems(seed, gamma, list(ConstraintMode)):
+            poly = polytope_h_rep(problem)
+            vertices = rng.permutation(vertices_by_subsets(poly.G, poly.h))[:6]
+            vecs = np.vstack([rng.uniform(0, 1, size=(50, problem.dim)),
+                              np.clip(vertices, 0.0, 1.0)])
+            for vec in vecs:
+                r = RewardFunction(vec.reshape(problem.num_states, problem.num_actions))
+                implicit = bool(membership_implicit(problem, r))
+                assert implicit == bool(membership_q(problem, r)) == poly.contains(vec)
+                if not implicit:
+                    continue
+                members += 1
+                # the zeta load sums residuals of the optimality conditions
+                # over a horizon of 1/(1 - gamma), so its tolerance scales too
+                params = params_from_reward(problem, r)
+                for verdict in check_zeta_constraints(problem, params.zeta,
+                                                      tol=TOL / (1.0 - gamma)):
+                    assert verdict.satisfied
+        assert members > 0  # the UPPER-mode set always has members
 
 
 class TestCanonicalRoundTrip:
@@ -107,7 +145,7 @@ class TestExpertDeletionAndCaps:
                 if not membership_implicit(problem, r, tol=TOL):
                     continue
                 for i in range(problem.num_experts):
-                    assert membership_implicit(problem.without_expert(i), r, tol=TOL)
+                    assert membership_implicit(without_expert(problem, i), r, tol=TOL)
                 params = params_from_reward(problem, r, tol=TOL)
                 assert np.all(params.zeta <= caps.g + 1e-8)
 
@@ -200,6 +238,15 @@ class TestEstimatorConvergence:
                 continue
             hits = sum(est <= bound.value for est in estimates[t])
             assert hits >= 18
+
+        # the t above all lie below the validity thresholds; at t = 10**6 the
+        # bound is valid and below 1, and it must cover every estimate
+        t = 10**6
+        bound = error_bound_for(problem, t, delta)
+        assert bound.valid and bound.value < 1.0
+        for seed in seeds:
+            emp, _ = us_irl_se(GenerativeModel(problem, seed=seed), t)
+            assert hausdorff_distance(truth_poly, polytope_h_rep(emp)).value <= bound.value
 
 
 class TestEmpiricalFallbacks:

@@ -20,6 +20,7 @@ from irlse import (
     us_irl_se,
     validity_thresholds,
 )
+from oracles import without_expert
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ class TestPiMin:
         assert 0 < support <= minmax <= 1.0
 
     def test_undefined_without_experts(self, truth):
-        single = truth.without_expert(0)
+        single = without_expert(truth, 0)
         with pytest.raises(ValueError):
             support_min_probability(single)
 
@@ -90,7 +91,7 @@ class TestPiMin:
         assert consts.q2 == pytest.approx(max(1.0, consts.q1))
 
     def test_constants_degenerate_without_experts(self, truth):
-        consts = complexity_constants(truth.without_expert(0))
+        consts = complexity_constants(without_expert(truth, 0))
         assert consts.pi_min_support is None
         assert math.isinf(consts.q0)
         assert consts.q1 == pytest.approx(5.0)

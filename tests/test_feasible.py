@@ -10,9 +10,7 @@ from irlse import (
     MdpNoReward,
     Policy,
     RewardFunction,
-    check_zeta_constraints,
     example_fig1,
-    expert_zeta_load,
     mask_unsupported,
     membership_implicit,
     occupancy_matrix,
@@ -24,7 +22,7 @@ from irlse import (
     volume_upper_bounds,
     zeta_caps,
 )
-from oracles import membership_q
+from oracles import check_zeta_constraints, expert_zeta_load, membership_q, without_expert
 
 
 @pytest.fixture
@@ -262,4 +260,4 @@ class TestShrinkage:
         for _ in range(30):
             r = member_reward(problem, rng)
             for i in range(problem.num_experts):
-                assert membership_implicit(problem.without_expert(i), r)
+                assert membership_implicit(without_expert(problem, i), r)

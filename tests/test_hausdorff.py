@@ -11,15 +11,11 @@ from irlse import (
     ConstraintMode,
     DimensionCapError,
     EmptyPolytopeError,
-    ExpertSpec,
     GenerativeModel,
     HausdorffMode,
     InfeasiblePointError,
-    IrlSeProblem,
     LinearProgram,
     LpResult,
-    MdpNoReward,
-    Policy,
     RewardPolytope,
     directed_distance,
     enumerate_vertices,
@@ -38,6 +34,7 @@ from oracles import (
     highs_directed_sup,
     highs_is_empty,
     lp_solve_loop,
+    near_one_discount_problems,
     vertices_by_subsets,
 )
 
@@ -154,19 +151,8 @@ def assert_same_solve(lp):
 
 
 def near_one_discount_polytopes(seed, gamma, modes):
-    """One polytope per expert mode on a shared 3x2 MDP whose optimal policy
-    is stochastic in state 0; each has a single expert of that mode."""
-    rng = np.random.default_rng(seed)
-    S, A = 3, 2
-    mdp = MdpNoReward(S, A, rng.dirichlet(np.ones(S), size=(S, A)), gamma)
-    probs = np.eye(A)[rng.integers(0, A, size=S)]
-    probs[0] = rng.dirichlet(np.ones(A))
-    polys = []
-    for mode in modes:
-        expert = ExpertSpec(Policy(rng.dirichlet(np.ones(A), size=S)),
-                            float(rng.uniform(0.1, 0.5)), mode)
-        polys.append(polytope_h_rep(IrlSeProblem(mdp, Policy(probs), (expert,))))
-    return polys
+    """The feasible sets of near_one_discount_problems."""
+    return [polytope_h_rep(p) for p in near_one_discount_problems(seed, gamma, modes)]
 
 
 def solved_lps(call, *args, **kwargs):
@@ -436,6 +422,13 @@ class TestHausdorff:
                   for budget in (1, 2, 4, 8, 16, 32)]
         assert all(low <= exact + 1e-9 for low in lowers)
         assert all(x <= y + 1e-12 for x, y in zip(lowers, lowers[1:]))
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_lower_mode_budget_below_one_raises(self, budget):
+        poly = box_polytope([0, 0], [1, 1])
+        with pytest.raises(ValueError, match="budget") as exc:
+            hausdorff_distance(poly, poly, HausdorffMode.LOWER_BOUND, budget=budget)
+        assert not isinstance(exc.value, EmptyPolytopeError)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):

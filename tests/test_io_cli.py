@@ -153,6 +153,40 @@ class TestCliCheck:
         assert exc.value.code == 2
 
 
+class TestCliBadInput:
+    OUT_OF_RANGE = [
+        ["hausdorff", "{p}", "{p}", "--mode", "lower", "--budget", "0"],
+        ["hausdorff", "{p}", "{p}", "--mode", "lower", "--budget", "-2"],
+        ["hausdorff", "{p}", "{p}", "--mode", "lower", "--seed", "-1"],
+        ["sweep", "{p}", "{out}", "--t-grid", "10", "--seeds", "-1"],
+        ["sweep", "{p}", "{out}", "--t-grid", "0"],
+        ["sweep", "{p}", "{out}", "--t-grid", "10", "--delta", "2"],
+        ["estimate", "{p}", "{out}", "--m", "-1"],
+        ["estimate", "{p}", "{out}", "--m", "5", "--seed", "-1"],
+        ["estimate", "{p}", "{out}", "--epsilon", "2", "--delta", "0.5"],
+    ]
+
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE,
+                             ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_out_of_range_flag_exit_two(self, argv, fig1_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(p=fig1_path, out=out) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["estimate", "{p}", "{out}", "--m", "5"],
+                                      ["sweep", "{p}", "{out}", "--t-grid", "10"]],
+                             ids=["estimate", "sweep"])
+    def test_unwritable_output_exit_three(self, argv, fig1_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert main([a.format(p=fig1_path, out=out) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCliEstimate:
     def test_m_flag(self, tmp_path, capsys):
         src = tmp_path / "p.json"

@@ -267,6 +267,7 @@ def _int_list(text: str) -> list:
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "non-negative integer")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "positive integer")
 _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "number in (0, 1)")
+_TOLERANCE = _checked(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 _SEED_LIST = _checked(_int_list, lambda v: min(v) >= 0, "non-negative integer list")
 _T_GRID = _checked(_int_list, lambda v: min(v) >= 1, "positive integer list")
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test a reward for feasible-set membership")
     p.add_argument("problem")
     p.add_argument("reward")
-    p.add_argument("--tol", type=float, default=feasible.DEFAULT_TOL)
+    p.add_argument("--tol", type=_TOLERANCE, default=feasible.DEFAULT_TOL)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("estimate", help="sample a problem with the uniform sampler")

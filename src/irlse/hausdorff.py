@@ -19,6 +19,7 @@ from .feasible import RewardPolytope
 
 LP_TOL = 1e-9
 FEAS_TOL = 1e-8
+PHASE_ONE_TOL = 1e-7  # largest auxiliary s* read as feasible
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
 
@@ -81,7 +82,7 @@ def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, co
     basis[row] = col
 
 
-def _simplex_phase(tableau, rhs, basis, costs, allowed):
+def _simplex_phase(tableau, rhs, basis, costs):
     """Bland's-rule simplex on a tableau already in basic feasible form.
 
     Returns ("optimal" | "unbounded", pivots made); mutates tableau/rhs/basis
@@ -91,7 +92,7 @@ def _simplex_phase(tableau, rhs, basis, costs, allowed):
     while True:
         cb = costs[basis]
         reduced = costs - cb @ tableau
-        improving = np.flatnonzero(allowed & (reduced < -LP_TOL))
+        improving = np.flatnonzero(reduced < -LP_TOL)
         if improving.size == 0:
             return "optimal", pivots
         entering = improving[0]
@@ -111,65 +112,48 @@ def _simplex_phase(tableau, rhs, basis, costs, allowed):
         pivots += 1
 
 
-def lp_solve(lp: LinearProgram) -> LpResult:
-    """Two-phase dense simplex with Bland's rule on a slack formulation.
-
-    Free variables are split into positive and negative parts; rows with a
-    negative bound get an artificial variable in phase one. The result
-    counts the pivots of each phase; pivots that drive a zero-valued
-    artificial out of the basis count towards phase one.
-    """
-    G, h = lp.G, lp.h
+def _simplex_from_origin(c, G, b):
+    """min c . x subject to G x <= b >= 0, x free: columns x+ | x- | slacks,
+    from the all-slack basis. Returns (status, last basic x, pivots)."""
     m, d = G.shape
-    if m == 0:
-        # unconstrained: optimum is 0 at the origin iff c == 0
-        if np.all(lp.c == 0.0):
-            return LpResult("optimal", 0.0, np.zeros(d))
-        return LpResult("unbounded", None, None)
+    tableau = np.hstack([G, -G, np.eye(m)])
+    rhs = b.copy()
+    basis = np.arange(2 * d, 2 * d + m)
+    costs = np.concatenate([c, -c, np.zeros(m)])
+    status, pivots = _simplex_phase(tableau, rhs, basis, costs)
+    full = np.zeros(2 * d + m)
+    full[basis] = rhs
+    return status, full[:d] - full[d:2 * d], pivots
 
-    # columns: x+ (d) | x- (d) | slacks (m) | artificials (k)
-    body = np.hstack([G, -G, np.eye(m)])
-    rhs = h.copy()
-    neg = rhs < 0
-    body[neg] *= -1.0
-    rhs[neg] *= -1.0
-    art_rows = np.flatnonzero(neg)
-    n_art = art_rows.size
-    art_block = np.zeros((m, n_art))
-    art_block[art_rows, np.arange(n_art)] = 1.0
-    tableau = np.hstack([body, art_block])
-    ncols = tableau.shape[1]
-    basis = np.arange(2 * d, 2 * d + m)  # slack basic where h >= 0
-    basis[art_rows] = 2 * d + m + np.arange(n_art)  # artificial where the row was flipped
 
-    allowed = np.ones(ncols, dtype=bool)
-    phase_one = 0
-    if n_art:
-        costs1 = np.zeros(ncols)
-        costs1[2 * d + m:] = 1.0
-        _, phase_one = _simplex_phase(tableau, rhs, basis, costs1, allowed)
-        if costs1[basis] @ rhs > 1e-7:
+def lp_solve(lp: LinearProgram) -> LpResult:
+    """Dense simplex with Bland's rule; both phases start at an origin.
+
+    With h >= 0 the origin is feasible. Otherwise phase one is Chvatal's
+    auxiliary LP min s, G x - s <= h, s >= 0, in (x, s - lift) for
+    lift = -min h; it is infeasible when s* > PHASE_ONE_TOL, and phase two
+    runs on G y <= max(h - G x0, 0), x = x0 + y. Pivots are counted per phase.
+    """
+    G, h, c = lp.G, lp.h, lp.c
+    m, d = G.shape
+    lift = float(np.max(-h, initial=0.0))
+    if lift == 0.0:
+        status, x, phase_two = _simplex_from_origin(c, G, h)
+        pivots = (0, phase_two)
+    else:
+        # rows G x - s' <= h + lift and -s' <= lift, cost s'
+        aux_G = np.block([[G, -np.ones((m, 1))], [np.zeros((1, d)), -np.ones((1, 1))]])
+        aux_c = np.append(np.zeros(d), 1.0)
+        _, aux, phase_one = _simplex_from_origin(aux_c, aux_G, np.append(h + lift, lift))
+        if aux[d] + lift > PHASE_ONE_TOL:
             return LpResult("infeasible", None, None, (phase_one, 0))
-        allowed[2 * d + m:] = False
-        # drive any zero-valued artificial out of the basis when possible
-        for i in range(m):
-            if basis[i] >= 2 * d + m:
-                nonzero = np.flatnonzero(np.abs(tableau[i, :2 * d + m]) > LP_TOL)
-                if nonzero.size:
-                    _pivot(tableau, rhs, basis, i, nonzero[0])
-                    phase_one += 1
-
-    costs2 = np.zeros(ncols)
-    costs2[:d] = lp.c
-    costs2[d:2 * d] = -lp.c
-    status, phase_two = _simplex_phase(tableau, rhs, basis, costs2, allowed)
-    pivots = (phase_one, phase_two)
+        x0 = aux[:d]
+        status, y, phase_two = _simplex_from_origin(c, G, np.maximum(h - G @ x0, 0.0))
+        x = x0 + y
+        pivots = (phase_one, phase_two)
     if status == "unbounded":
         return LpResult("unbounded", None, None, pivots)
-    full = np.zeros(ncols)
-    full[basis] = rhs
-    x = full[:d] - full[d:2 * d]
-    return LpResult("optimal", float(lp.c @ x), x, pivots)
+    return LpResult("optimal", float(c @ x), x, pivots)
 
 
 def _slack(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from irlse.feasible import (
     Violation,
     _check_reward_box,
 )
-from irlse.hausdorff import DEDUPE_TOL, LP_TOL, LinearProgram, LpResult
+from irlse.hausdorff import DEDUPE_TOL, LP_TOL, PHASE_ONE_TOL, LinearProgram, LpResult
 from irlse.mdp import (
     MdpNoReward,
     Policy,
@@ -159,7 +159,7 @@ def _pivot_loop(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: in
     basis[row] = col
 
 
-def _simplex_phase_loop(tableau, rhs, basis, costs, allowed):
+def _simplex_phase_loop(tableau, rhs, basis, costs):
     """Bland's-rule simplex on a tableau already in basic feasible form.
 
     Returns ("optimal" | "unbounded", pivots made); mutates tableau/rhs/basis
@@ -171,7 +171,7 @@ def _simplex_phase_loop(tableau, rhs, basis, costs, allowed):
         cb = costs[basis]
         reduced = costs - cb @ tableau
         entering = -1
-        for j in np.flatnonzero(allowed):
+        for j in range(tableau.shape[1]):
             if reduced[j] < -LP_TOL:
                 entering = j
                 break
@@ -190,66 +190,60 @@ def _simplex_phase_loop(tableau, rhs, basis, costs, allowed):
         pivots += 1
 
 
-def lp_solve_loop(lp: LinearProgram) -> LpResult:
-    """Two-phase dense simplex with Bland's rule, one Python iteration per
-    row and column; test oracle for the vectorised irlse.lp_solve, which
-    must take the same pivots and return bit-identical results."""
-    G, h = lp.G, lp.h
+def _simplex_from_origin_loop(c, G, b):
+    """min c . x subject to G x <= b >= 0 from the all-slack basis, built
+    and read back one entry at a time."""
     m, d = G.shape
-    if m == 0:
-        # unconstrained: optimum is 0 at the origin iff c == 0
-        if np.all(lp.c == 0.0):
-            return LpResult("optimal", 0.0, np.zeros(d))
-        return LpResult("unbounded", None, None)
-
-    # columns: x+ (d) | x- (d) | slacks (m) | artificials (k)
-    body = np.hstack([G, -G, np.eye(m)])
-    rhs = h.copy()
-    neg = rhs < 0
-    body[neg] *= -1.0
-    rhs[neg] *= -1.0
-    art_rows = np.flatnonzero(neg)
-    n_art = art_rows.size
-    art_block = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art_block[i, k] = 1.0
-    tableau = np.hstack([body, art_block])
-    ncols = tableau.shape[1]
+    tableau = np.zeros((m, 2 * d + m))
+    costs = np.zeros(2 * d + m)
     basis = np.empty(m, dtype=int)
     for i in range(m):
-        basis[i] = 2 * d + i  # slack basic where h >= 0
-    for k, i in enumerate(art_rows):
-        basis[i] = 2 * d + m + k  # artificial basic where the row was flipped
+        for j in range(d):
+            tableau[i, j] = G[i, j]
+            tableau[i, d + j] = -G[i, j]
+        tableau[i, 2 * d + i] = 1.0
+        basis[i] = 2 * d + i
+    for j in range(d):
+        costs[j] = c[j]
+        costs[d + j] = -c[j]
+    rhs = b.copy()
+    status, pivots = _simplex_phase_loop(tableau, rhs, basis, costs)
+    full = np.zeros(2 * d + m)
+    for i in range(m):
+        full[basis[i]] = rhs[i]
+    return status, full[:d] - full[d:2 * d], pivots
 
-    allowed = np.ones(ncols, dtype=bool)
-    phase_one = 0
-    if n_art:
-        costs1 = np.zeros(ncols)
-        costs1[2 * d + m:] = 1.0
-        _, phase_one = _simplex_phase_loop(tableau, rhs, basis, costs1, allowed)
-        if costs1[basis] @ rhs > 1e-7:
+
+def lp_solve_loop(lp: LinearProgram) -> LpResult:
+    """irlse.lp_solve's outer steps (an auxiliary phase one when some bound
+    is negative, then phase two from the phase-one point) on the row-by-row
+    simplex kernel; test oracle for the vectorised kernel, which must take
+    the same pivots and return bit-identical results."""
+    G, h, c = lp.G, lp.h, lp.c
+    m, d = G.shape
+    lift = 0.0
+    for bound in h:
+        lift = max(lift, -bound)
+    if lift == 0.0:
+        status, x, phase_two = _simplex_from_origin_loop(c, G, h)
+        pivots = (0, phase_two)
+    else:
+        aux_G = np.zeros((m + 1, d + 1))
+        aux_G[:m, :d] = G
+        aux_G[:, d] = -1.0  # G x - s' <= h + lift and -s' <= lift
+        aux_c = np.zeros(d + 1)
+        aux_c[d] = 1.0
+        _, aux, phase_one = _simplex_from_origin_loop(aux_c, aux_G, np.append(h + lift, lift))
+        if aux[d] + lift > PHASE_ONE_TOL:
             return LpResult("infeasible", None, None, (phase_one, 0))
-        allowed[2 * d + m:] = False
-        # drive any zero-valued artificial out of the basis when possible
-        for i in range(m):
-            if basis[i] >= 2 * d + m:
-                for j in range(2 * d + m):
-                    if abs(tableau[i, j]) > LP_TOL:
-                        _pivot_loop(tableau, rhs, basis, i, j)
-                        phase_one += 1
-                        break
-
-    costs2 = np.zeros(ncols)
-    costs2[:d] = lp.c
-    costs2[d:2 * d] = -lp.c
-    status, phase_two = _simplex_phase_loop(tableau, rhs, basis, costs2, allowed)
-    pivots = (phase_one, phase_two)
+        x0 = aux[:d]
+        status, y, phase_two = _simplex_from_origin_loop(
+            c, G, np.maximum(h - G @ x0, 0.0))
+        x = x0 + y
+        pivots = (phase_one, phase_two)
     if status == "unbounded":
         return LpResult("unbounded", None, None, pivots)
-    full = np.zeros(ncols)
-    full[basis] = rhs
-    x = full[:d] - full[d:2 * d]
-    return LpResult("optimal", float(lp.c @ x), x, pivots)
+    return LpResult("optimal", float(c @ x), x, pivots)
 
 
 def drop_near_duplicates_loop(pool: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from irlse import (
     us_irl_se,
 )
 from oracles import (
+    _pivot_loop,
     drop_near_duplicates_loop,
     highs_directed_sup,
     highs_is_empty,
@@ -85,8 +86,7 @@ PHASE_ONE_LP = LinearProgram([1.0], [[-1.0], [1.0]], [-3.0, 10.0])  # x >= 3; mi
 # index" would leave at the second (x = 0.8e-9)
 NEAR_TIE_LP = LinearProgram([-1.0], [[1.0], [1.0], [1.0], [-1.0]],
                             [1.6e-9, 0.8e-9, 0.0, 1.0])
-# the row loop returns x = (-0.0, 1); also updating the rows whose factor is
-# zero (subtracting 0 * a negative entry, which is -0.0) would give (+0.0, 1)
+# a negative bound, so a phase one, and a degenerate optimum at x = (0, 1)
 SIGNED_ZERO_LP = LinearProgram([-1.0, -1.0],
                                [[0, 1], [0, -1], [-1, -1], [-1, 0], [1, -1]],
                                [1.0, 0.0, 0.0, 0.0, -1.0])
@@ -150,6 +150,16 @@ def assert_same_solve(lp):
         assert got.x.tobytes() == want.x.tobytes()  # signed zeros too
 
 
+def small_integer_lps():
+    """2000 LPs with entries in {-1, 0, 1}: many zeros, ties, degenerate
+    pivots, negative bounds, and infeasible and unbounded draws."""
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        yield LinearProgram(rng.integers(-1, 2, size=d), rng.integers(-1, 2, size=(m, d)),
+                            rng.integers(-1, 2, size=m))
+
+
 def near_one_discount_polytopes(seed, gamma, modes):
     """The feasible sets of near_one_discount_problems."""
     return [polytope_h_rep(p) for p in near_one_discount_problems(seed, gamma, modes)]
@@ -182,19 +192,49 @@ class TestVectorisedSimplex:
             assert_same_solve(random_bounded_lp(rng, int(rng.integers(1, 9))))
 
     def test_small_integer_lps(self):
-        # entries in {-1, 0, 1}: many zeros, ties and degenerate pivots
-        rng = np.random.default_rng(5)
-        for _ in range(2000):
-            d, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-            assert_same_solve(LinearProgram(rng.integers(-1, 2, size=d),
-                                            rng.integers(-1, 2, size=(m, d)),
-                                            rng.integers(-1, 2, size=m)))
+        for lp in small_integer_lps():
+            assert_same_solve(lp)
+
+    def test_small_integer_lps_match_highs(self):
+        # the loop oracle mirrors lp_solve's phases, so HiGHS checks them;
+        # statuses are not compared, as HiGHS calls some unbounded draws
+        # infeasible (c=[1,1,-1], G=[[-1,-1,-1],[1,1,1]], h=[1,0] is
+        # feasible at 0)
+        for lp in small_integer_lps():
+            res = lp_solve(lp)
+            assert (res.status == "infeasible") == highs_is_empty(lp.G, lp.h)
+            if res.status == "optimal":
+                assert np.all(lp.G @ res.x <= lp.h + 1e-9)
+                ref = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.h,
+                                        bounds=(None, None), method="highs")
+                assert res.value == pytest.approx(ref.fun, abs=1e-9)
 
     def test_edge_cases(self):
         for lp in (INFEASIBLE_LP, UNBOUNDED_LP, PHASE_ONE_LP, NEAR_TIE_LP, SIGNED_ZERO_LP):
             assert_same_solve(lp)
         assert lp_solve(NEAR_TIE_LP).x.tolist() == [0.0]
-        assert np.signbit(lp_solve(SIGNED_ZERO_LP).x[0])
+
+    def test_pivot_keeps_signed_zeros(self):
+        # row 1 has a zero factor in the pivot column and a -0.0 under the
+        # pivot row's -4; subtracting 0 * -4 (= -0.0) would make it +0.0
+        tableau = np.array([[2.0, -4.0, 1.0], [0.0, -0.0, 3.0], [1.0, 1.0, 0.0]])
+        rhs = np.array([2.0, -0.0, 1.0])
+        states = []
+        for pivot in (hausdorff_module._pivot, _pivot_loop):
+            t, r, b = tableau.copy(), rhs.copy(), np.array([3, 4, 5])
+            pivot(t, r, b, 0, 0)
+            states.append((t, r, b))
+        assert [a.tobytes() for a in states[0]] == [a.tobytes() for a in states[1]]
+        t0 = states[0][0]
+        assert np.signbit(t0[1, 1])
+        # an all-rows rank-1 update flips that zero
+        t = tableau.copy()
+        t[0] /= t[0, 0]
+        factors = t[:, 0].copy()
+        factors[0] = 0.0
+        t -= np.outer(factors, t[0])
+        assert not np.signbit(t[1, 1])
+        assert t.tobytes() != t0.tobytes()
 
     @pytest.mark.parametrize("shape,seed,mode", [
         ((3, 2, 1), 0, HausdorffMode.EXACT),
@@ -225,6 +265,31 @@ class TestVectorisedSimplex:
         box = box_polytope(np.full(poly.dim, -0.5), np.full(poly.dim, 1.5))
         for lp in distance_lps(poly, box, HausdorffMode.LOWER_BOUND, budget=3):
             assert_same_solve(lp)
+
+    @pytest.mark.parametrize("seed,mode,empty", [
+        (1500, ConstraintMode.EXACT, True),
+        (1919, ConstraintMode.EXACT, True),
+        (2392, ConstraintMode.EXACT, True),
+        (6980, ConstraintMode.EXACT, True),
+        (2392, ConstraintMode.LOWER, False),
+        (3829, ConstraintMode.LOWER, False),
+        (4025, ConstraintMode.LOWER, False),
+        (6980, ConstraintMode.LOWER, False),
+    ])
+    def test_near_one_discount_phase_one(self, seed, mode, empty):
+        # gamma = 0.999 draws whose LOWER/EXACT rows have negative bounds, so
+        # every support LP runs a phase one; HiGHS decides emptiness
+        (poly,) = near_one_discount_polytopes(seed, 0.999, (mode,))
+        assert highs_is_empty(poly.G, poly.h) == empty
+        box = box_polytope(np.full(poly.dim, -0.5), np.full(poly.dim, 1.5))
+
+        def call():
+            return hausdorff_distance(poly, box, HausdorffMode.LOWER_BOUND, budget=3, seed=3)
+        if empty:
+            with pytest.raises(EmptyPolytopeError):
+                call()
+        else:
+            assert np.isfinite(call().value)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),

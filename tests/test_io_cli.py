@@ -155,6 +155,9 @@ class TestCliCheck:
 
 class TestCliBadInput:
     OUT_OF_RANGE = [
+        ["check", "{p}", "{out}", "--tol", "nan"],
+        ["check", "{p}", "{out}", "--tol", "inf"],
+        ["check", "{p}", "{out}", "--tol", "-1"],
         ["hausdorff", "{p}", "{p}", "--mode", "lower", "--budget", "0"],
         ["hausdorff", "{p}", "{p}", "--mode", "lower", "--budget", "-2"],
         ["hausdorff", "{p}", "{p}", "--mode", "lower", "--seed", "-1"],

@@ -4,8 +4,9 @@ The metric is the infinity norm throughout. Distances from a point to a
 polytope are one LP, shifted to a known point of its feasible region so
 that it needs no phase one; the supremum side of the Hausdorff distance is
 taken over polytope vertices (the point-to-set distance is convex, so it is
-attained at a vertex), enumerated combinatorially for small dimensions or
-sampled via random LP objectives for a certified lower bound.
+attained at a vertex), enumerated for small dimensions by a walk over the
+vertex graph or sampled via random LP objectives for a certified lower
+bound.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ FEAS_TOL = 1e-8
 PHASE_ONE_TOL = 1e-7  # largest auxiliary s* read as feasible
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
+_EDGE_BATCH = 50_000  # candidate edges per batched det/solve
 
 
 class EmptyPolytopeError(ValueError):
@@ -215,46 +217,141 @@ def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
     return 0.0 if value < LP_TOL else float(value)
 
 
-def _chunked_combinations(n: int, d: int, chunk: int):
-    it = itertools.combinations(range(n), d)
+def _vertex_from(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """A vertex of {G x <= h} reached from one of its points by at most dim
+    ray steps. Each step runs along a null vector of the rows tight so far
+    to the first row it meets, which raises their rank by one; the vertex is
+    then solved from its tight rows. ValueError when a line lies in the set."""
+    d = G.shape[1]
     while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block)
+        slack = _slack(G, h, point)
+        tight = slack <= FEAS_TOL
+        _, sing, vt = np.linalg.svd(G[tight])
+        if np.count_nonzero(sing > LP_TOL) == d:
+            return np.linalg.lstsq(G[tight], h[tight], rcond=None)[0]
+        for u in (vt[-1], -vt[-1]):
+            rates = G @ u
+            blocking = ~tight & (rates > LP_TOL)
+            if np.any(blocking):
+                point = point + np.min(slack[blocking] / rates[blocking]) * u
+                break
+        else:
+            raise ValueError("the polyhedron contains a line, so it has no vertex")
 
 
-def enumerate_vertices(polytope: RewardPolytope) -> np.ndarray:
-    """All basic feasible points: solve every dim-subset of rows, keep the
-    feasible solutions, dedupe near-identical points.
+def _edge_ends(G: np.ndarray, h: np.ndarray, rows: np.ndarray, owner: np.ndarray,
+               slack: np.ndarray, tight: np.ndarray) -> np.ndarray:
+    """The far ends of the edges that leave vertex owner[k] along the line
+    G[rows[k]] u = 0. `rows` holds dim - 1 tight rows of that vertex; a line
+    of rank below dim - 1 is dropped, and so is a direction +-u that leaves
+    the set through one of the vertex's tight rows. Each end is solved from
+    `rows` and the row that blocks the edge (the ratio test), as a basic
+    point; ValueError when no row blocks it (an unbounded edge)."""
+    n, d = rows.shape[0], G.shape[1]
+    # u solves G_S u = 0, p . u = 1 for one fixed random row p, which no
+    # line of rank dim - 1 meets at a right angle in practice
+    probe = np.zeros((n, d, d))
+    probe[:, :-1] = G[rows]
+    probe[:, -1] = np.random.default_rng(0).standard_normal(d)
+    regular = np.abs(np.linalg.det(probe)) > 1e-12
+    unit = np.zeros((int(np.count_nonzero(regular)), d, 1))
+    unit[:, -1] = 1.0
+    u = np.linalg.solve(probe[regular], unit)[..., 0]
+    u /= np.max(np.abs(u), axis=1, keepdims=True)
+    rows, owner = rows[regular], owner[regular]
+    rates = u @ G.T
+    at = tight[owner]
+    on_tight = np.where(at, rates, 0.0)
+    # +u stays in the set if no tight row grows along it, -u if none shrinks
+    forward = np.flatnonzero(np.all(on_tight <= LP_TOL, axis=1))
+    backward = np.flatnonzero(np.all(on_tight >= -LP_TOL, axis=1))
+    keep = np.concatenate([forward, backward])
+    rates = rates[keep]
+    rates[len(forward):] *= -1.0
+    rows, owner, at = rows[keep], owner[keep], at[keep]
+    closing = ~at & (rates > LP_TOL)
+    ratios = np.divide(slack[owner], rates, out=np.full(rates.shape, np.inf), where=closing)
+    blocking = np.argmin(ratios, axis=1)
+    if np.any(np.isinf(ratios[np.arange(len(blocking)), blocking])):
+        raise ValueError("the polyhedron is unbounded: an edge meets no row")
+    basis = np.hstack([rows, blocking[:, None]])
+    subs = G[basis]
+    nonsingular = np.abs(np.linalg.det(subs)) > 1e-12
+    points = np.linalg.solve(subs[nonsingular], h[basis][nonsingular][..., None])[..., 0]
+    points = points[np.all(np.isfinite(points), axis=1)]
+    return points[np.all(points @ G.T <= h[None, :] + FEAS_TOL, axis=1)]
 
-    Subsets are processed in vectorized chunks (batched determinant filter,
-    batched solve, batched feasibility check) to keep large combination
-    counts tractable.
+
+def _neighbours(G: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Basic points one edge away from `vertices`: every (dim - 1)-subset of
+    each vertex's tight rows spans a candidate edge. Vertices with the same
+    number of tight rows share one index table, and the edges of the whole
+    frontier go through _edge_ends in batches of at most _EDGE_BATCH."""
+    d = G.shape[1]
+    slack = np.maximum(h[None, :] - vertices @ G.T, 0.0)
+    tight = slack <= FEAS_TOL
+    sizes = np.count_nonzero(tight, axis=1)
+    ends = [np.empty((0, d))]
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        tight_rows = np.nonzero(tight[group])[1].reshape(len(group), size)
+        subsets = list(itertools.combinations(range(size), d - 1))
+        subsets = np.array(subsets, dtype=int).reshape(len(subsets), d - 1)
+        total = len(group) * len(subsets)
+        for lo in range(0, total, _EDGE_BATCH):
+            pair = np.arange(lo, min(lo + _EDGE_BATCH, total))
+            which, subset = np.divmod(pair, len(subsets))
+            rows = tight_rows[which[:, None], subsets[subset]]
+            ends.append(_edge_ends(G, h, rows, group[which], slack, tight))
+    return np.vstack(ends)
+
+
+def _unseen(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The points, in order, that lie at least DEDUPE_TOL (infinity norm)
+    from every vertex and from every point kept before them: a coarse pass
+    by rounding, then an exact tolerance pass on the survivors."""
+    pool = np.vstack([vertices, points])
+    rounded = np.round(pool, 8)
+    order = np.lexsort(rounded.T[::-1])  # stable: each run starts at its first point
+    runs = np.r_[True, np.any(np.diff(rounded[order], axis=0) != 0.0, axis=1)]
+    first = np.sort(order[runs])
+    new = pool[first[first >= len(vertices)]]
+    far = np.array([np.all(np.max(np.abs(vertices - p), axis=1) >= DEDUPE_TOL) for p in new],
+                   dtype=bool)
+    return _drop_near_duplicates(new[far])
+
+
+def enumerate_vertices(polytope: RewardPolytope, inside=None) -> np.ndarray:
+    """All vertices of a bounded polytope, by a breadth-first walk over its
+    vertex graph (Avis & Fukuda's pivoting, without the reverse-search
+    order), so the cost follows the number of vertices rather than C(m, d).
+
+    The walk starts at a vertex reached by ray steps from `inside`, a point
+    of the polytope (by default one zero-cost LP finds it, and raises
+    EmptyPolytopeError on an empty polytope). Each round expands the whole
+    frontier: the edges at a vertex come from its tight rows, and each new
+    vertex is solved from its dim defining rows. Points within DEDUPE_TOL of
+    a vertex already found are the same vertex. An unbounded polyhedron
+    raises ValueError, and dim above DEFAULT_ENUM_CAP DimensionCapError.
     """
     d = polytope.dim
     if d > DEFAULT_ENUM_CAP:
         raise DimensionCapError(
             f"dimension {d} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     G, h = polytope.G, polytope.h
-    candidates = []
-    for block in _chunked_combinations(G.shape[0], d, 50_000):
-        subs = G[block]  # (B, d, d)
-        nonsingular = np.abs(np.linalg.det(subs)) > 1e-12
-        if not np.any(nonsingular):
-            continue
-        points = np.linalg.solve(subs[nonsingular], h[block][nonsingular][..., None])[..., 0]
-        finite = np.all(np.isfinite(points), axis=1)
-        points = points[finite]
-        feasible = np.all(points @ G.T <= h[None, :] + FEAS_TOL, axis=1)
-        if np.any(feasible):
-            candidates.append(points[feasible])
-    if not candidates:
-        return np.empty((0, d))
-    pool = np.vstack(candidates)
-    # coarse dedupe by rounding, then an exact tolerance pass on the survivors
-    _, first = np.unique(np.round(pool, 8), axis=0, return_index=True)
-    return _drop_near_duplicates(pool[np.sort(first)])
+    if inside is None:
+        inside = _feasible_point(polytope)
+    start = np.asarray(inside, dtype=float).reshape(-1)
+    if start.shape != (d,):
+        raise ValueError("inside point dimension does not match polytope")
+    vertices = np.empty((0, d))
+    found = _vertex_from(G, h, start)[None, :]
+    while True:
+        fresh = _unseen(found, vertices)
+        if len(fresh) == 0:
+            return vertices
+        vertices = np.vstack([vertices, fresh])
+        found = _neighbours(G, h, fresh)
 
 
 def _drop_near_duplicates(pool: np.ndarray) -> np.ndarray:
@@ -319,7 +416,8 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
 
     EXACT mode enumerates all vertices of both polytopes (DimensionCapError
     above the enumeration cap); it first checks each polytope for emptiness
-    with one zero-cost LP. LOWER_BOUND mode uses `budget` (at least 1,
+    with one zero-cost LP, whose point starts that polytope's vertex walk,
+    so enumeration solves no LP. LOWER_BOUND mode uses `budget` (at least 1,
     else ValueError) seeded random-objective support points per polytope
     and returns a certified lower bound that is non-decreasing in the
     budget. Every distance LP from one side's points to the other polytope
@@ -329,12 +427,11 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
     if mode is HausdorffMode.EXACT:
-        # one phase-one LP per polytope finds an empty set before any
-        # row subset is scanned
-        _feasible_point(p1)
-        _feasible_point(p2)
-        pts1 = enumerate_vertices(p1)
-        pts2 = enumerate_vertices(p2)
+        # one LP per polytope finds an empty set before either walk starts,
+        # and its point is where that polytope's walk starts
+        inside1, inside2 = _feasible_point(p1), _feasible_point(p2)
+        pts1 = enumerate_vertices(p1, inside=inside1)
+        pts2 = enumerate_vertices(p2, inside=inside2)
     else:
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")

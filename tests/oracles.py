@@ -1,8 +1,8 @@
 """Independent oracles the tests check the package against: Q-level
 membership, the per-expert constraints on zeta, value iteration, the
-row-by-row simplex, the pairwise vertex dedupe, and HiGHS point-to-polytope
-distances over independently enumerated vertices; plus the problem
-builders several test modules share."""
+row-by-row simplex, the pairwise vertex dedupe, vertices from every row
+subset, and HiGHS point-to-polytope distances over those vertices; plus the
+problem builders several test modules share."""
 import itertools
 from dataclasses import dataclass, replace
 
@@ -247,7 +247,7 @@ def lp_solve_loop(lp: LinearProgram) -> LpResult:
 
 
 def drop_near_duplicates_loop(pool: np.ndarray) -> np.ndarray:
-    """The final tolerance dedupe of enumerate_vertices, one comparison per
+    """The tolerance dedupe of enumerate_vertices, one comparison per
     (point, kept vertex) pair; oracle for the vectorised pass, which must
     keep the same points in the same order."""
     d = pool.shape[1]
@@ -268,14 +268,24 @@ HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
 
 
 def vertices_by_subsets(G: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Every basic feasible point of {x : G x <= h}, from all dim-subsets of
-    rows, with near-duplicates left in (harmless to a supremum)."""
+    """Every vertex of {x : G x <= h}: solve every dim-subset of rows, keep
+    the feasible solutions, and drop near-duplicates (a coarse pass by
+    rounding, then the pairwise loop). Subsets go through batched
+    determinant, solve and feasibility steps 50,000 at a time, so a
+    C(23, 8) scan stays small in memory; oracle for enumerate_vertices."""
     d = G.shape[1]
-    subsets = np.array(list(itertools.combinations(range(G.shape[0]), d)))
-    subs = G[subsets]
-    regular = np.abs(np.linalg.det(subs)) > 1e-12
-    points = np.linalg.solve(subs[regular], h[subsets][regular][..., None])[..., 0]
-    return points[np.all(points @ G.T <= h + 1e-8, axis=1)]
+    subsets = itertools.combinations(range(G.shape[0]), d)
+    found = [np.empty((0, d))]
+    while block := list(itertools.islice(subsets, 50_000)):
+        block = np.array(block, dtype=int).reshape(len(block), d)
+        subs = G[block]
+        regular = np.abs(np.linalg.det(subs)) > 1e-12
+        points = np.linalg.solve(subs[regular], h[block][regular][..., None])[..., 0]
+        points = points[np.all(np.isfinite(points), axis=1)]
+        found.append(points[np.all(points @ G.T <= h + 1e-8, axis=1)])
+    pool = np.vstack(found)
+    _, first = np.unique(np.round(pool, 8), axis=0, return_index=True)
+    return drop_near_duplicates_loop(pool[np.sort(first)])
 
 
 def highs_is_empty(G: np.ndarray, h: np.ndarray) -> bool:

@@ -23,6 +23,7 @@ from irlse import (
     hausdorff_distance,
     lb_chain,
     lb_subopt,
+    lb_tree,
     lp_solve,
     polytope_h_rep,
     random_problem,
@@ -48,6 +49,38 @@ def box_polytope(lo, hi):
     G = np.vstack([np.eye(d), -np.eye(d)])
     h = np.concatenate([hi, -lo])
     return RewardPolytope(1, d, G, h, tuple(["box"] * 2 * d))
+
+
+def lb_d8_polytopes():
+    """The 18 distinct polytopes of the d=8 lower-bound pairs."""
+    polys = []
+    for g in (0.8, 0.9):
+        for e in (0.05, 0.1):
+            polys += [polytope_h_rep(lb_chain(1, 2, g, e, v)) for v in (None, (0, 0), (0, 1))]
+        polys += [polytope_h_rep(lb_subopt(2, g, 0.1, 0.25, 2.0, s)) for s in (None, 0, 1)]
+    return polys
+
+
+def cut_boxes(rng):
+    """20 unit boxes of dimension 1 to 8, each cut by up to three random rows
+    through it."""
+    polys = []
+    for _ in range(20):
+        d = int(rng.integers(1, 9))
+        cuts = rng.standard_normal((int(rng.integers(1, 4)), d))
+        G = np.vstack([cuts, np.eye(d), -np.eye(d)])
+        h = np.concatenate([cuts @ rng.uniform(0, 1, d), np.ones(d), np.zeros(d)])
+        polys.append(RewardPolytope(1, d, G, h, tuple(["row"] * G.shape[0])))
+    return polys
+
+
+def assert_same_vertices(got, want):
+    """The same number of vertices, each within DEDUPE_TOL of one of the
+    other set."""
+    assert got.shape == want.shape
+    gap = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
+    assert np.all(gap.min(axis=1) < hausdorff_module.DEDUPE_TOL)
+    assert np.all(gap.min(axis=0) < hausdorff_module.DEDUPE_TOL)
 
 
 def random_bounded_lp(rng, d):
@@ -406,40 +439,82 @@ class TestVertexEnumeration:
             enumerate_vertices(poly)
 
     def test_dedupe_matches_pairwise_loop(self):
-        # the pools enumerate_vertices dedupes on the d=8 lower-bound
+        # the pools the walk dedupes, one per round, on the d=8 lower-bound
         # polytopes and on random d <= 8 polytopes
         pools = []
         dedupe = hausdorff_module._drop_near_duplicates
-        polys = []
-        for g in (0.8, 0.9):
-            for e in (0.05, 0.1):
-                polys += [polytope_h_rep(lb_chain(1, 2, g, e, v))
-                          for v in (None, (0, 0), (0, 1))]
-            polys += [polytope_h_rep(lb_subopt(2, g, 0.1, 0.25, 2.0, s))
-                      for s in (None, 0, 1)]
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            # a box cut by up to three random rows through it
-            d = int(rng.integers(1, 9))
-            cuts = rng.standard_normal((int(rng.integers(1, 4)), d))
-            G = np.vstack([cuts, np.eye(d), -np.eye(d)])
-            h = np.concatenate([cuts @ rng.uniform(0, 1, d), np.ones(d), np.zeros(d)])
-            polys.append(RewardPolytope(1, d, G, h, tuple(["row"] * G.shape[0])))
+        polys = lb_d8_polytopes() + cut_boxes(rng)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hausdorff_module, "_drop_near_duplicates",
                           lambda pool: pools.append(pool) or dedupe(pool))
             for poly in polys:
-                enumerate_vertices(poly)
+                first = len(pools)
+                vertices = enumerate_vertices(poly)
+                # every vertex came out of these pools, in the order kept
+                kept = np.vstack([dedupe(pool) for pool in pools[first:]])
+                assert kept.tobytes() == vertices.tobytes()
         # and a pool of points within, at and just beyond DEDUPE_TOL
         base = rng.uniform(0, 1, size=(6, 4))
         shifts = hausdorff_module.DEDUPE_TOL * np.array([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
         near = (base[:, None, :] + shifts[None, :, None]
                 * rng.choice([-1.0, 1.0], size=(6, 6, 4))).reshape(-1, 4)
         pools.append(near[rng.permutation(len(near))])
-        assert len(pools) == len(polys) + 1
+        assert len(pools) > len(polys)
         for pool in pools:
             got, want = dedupe(pool), drop_near_duplicates_loop(pool)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["lb_d8", "sweep_d6", "fig1", "cut_boxes"])
+    def test_walk_matches_subset_oracle(self, family):
+        if family == "lb_d8":
+            polys = lb_d8_polytopes()
+        elif family == "sweep_d6":
+            # the sweep truth and its plug-in estimates
+            truth = random_problem(3, 2, 1, 0.9, seed=0)
+            polys = [polytope_h_rep(truth)] + [
+                polytope_h_rep(us_irl_se(GenerativeModel(truth, seed), t)[0])
+                for t in (10, 100, 1000) for seed in range(3)]
+        elif family == "fig1":
+            polys = [polytope_h_rep(example_fig1(0.9, 0.5))]
+        else:
+            polys = cut_boxes(np.random.default_rng(8))
+        for poly in polys:
+            assert_same_vertices(enumerate_vertices(poly), vertices_by_subsets(poly.G, poly.h))
+
+    def test_tree_d10_mirror_pair(self):
+        # beyond the subset oracle's reach: C(25, 10) = 3.3M subsets
+        ta = polytope_h_rep(lb_tree(2, 2, 0.9, 0.1, (1, -1)))
+        tb = polytope_h_rep(lb_tree(2, 2, 0.9, 0.1, (-1, 1)))
+        assert len(enumerate_vertices(ta)) == len(enumerate_vertices(tb)) == 339
+        rep = hausdorff_distance(ta, tb)
+        # mirror images, so the two directed distances agree
+        assert rep.directed[0] == pytest.approx(rep.directed[1], abs=1e-9)
+        assert rep.value == pytest.approx(0.310345, abs=1e-6)
+
+    def test_walk_start_point(self):
+        poly = polytope_h_rep(example_fig1(0.9, 0.5))
+        vertices = enumerate_vertices(poly)
+        # from a vertex or from inside, the same vertices
+        for inside in (vertices[-1], vertices.mean(axis=0)):
+            assert_same_vertices(enumerate_vertices(poly, inside=inside), vertices)
+        with pytest.raises(InfeasiblePointError):
+            enumerate_vertices(poly, inside=np.full(poly.dim, 2.0))
+        with pytest.raises(ValueError, match="dimension"):
+            enumerate_vertices(poly, inside=np.zeros(poly.dim + 1))
+
+    def test_unbounded_raises(self):
+        # the triangle of test_triangle without its third row: a quadrant,
+        # whose two edges meet no row
+        G = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        quadrant = RewardPolytope(1, 2, G, np.zeros(2), ("a", "b"))
+        with pytest.raises(ValueError, match="unbounded"):
+            enumerate_vertices(quadrant)
+        # a strip contains a line, so it has no vertex to start from
+        strip = RewardPolytope(1, 2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                               np.ones(2), ("a", "b"))
+        with pytest.raises(ValueError, match="line"):
+            enumerate_vertices(strip)
 
     def test_vertices_feasible(self):
         poly = polytope_h_rep(example_fig1(0.9, 0.5))

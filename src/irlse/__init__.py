@@ -73,7 +73,6 @@ from .problem_io import (
     read_problem,
     read_reward,
     write_problem,
-    write_reward,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ problem), hausdorff (distance between two problems' feasible sets), sweep
 Exit codes: 0 success / member, 1 non-member (check only), 2 usage error
 (including out-of-range flag values), 3 data error (unreadable, invalid or
 unwritable files), 4 numeric error (enumeration dimension cap, empty
-polytope, an LP point outside its polytope, search overflow).
+polytope, an LP point outside its polytope, search overflow, a required
+sample size too large for 64-bit counts).
 """
 from __future__ import annotations
 
@@ -82,7 +83,12 @@ def cmd_estimate(args) -> int:
         except RuntimeError as exc:  # the search for m overflowed
             raise _CliError(EXIT_NUMERIC, str(exc)) from exc
     model = estimation.GenerativeModel(problem, args.seed)
-    empirical, dataset = estimation.us_irl_se(model, m)
+    try:
+        empirical, _ = estimation.us_irl_se(model, m)
+    except ValueError as exc:  # m too large for 64-bit counts
+        if args.m is not None:
+            raise _CliError(EXIT_USAGE, f"--m: {exc}") from exc
+        raise _CliError(EXIT_NUMERIC, f"--epsilon/--delta: {exc}") from exc
     metadata = {
         "m": m,
         "seed": args.seed,
@@ -130,7 +136,10 @@ def _sweep_one(problem, truth_poly, seed: int, t: int, delta: float,
                exact_ok: bool):
     start = time.perf_counter()
     model = estimation.GenerativeModel(problem, seed)
-    empirical, _ = estimation.us_irl_se(model, t)
+    try:
+        empirical, _ = estimation.us_irl_se(model, t)
+    except ValueError as exc:  # t too large for 64-bit counts
+        raise _CliError(EXIT_USAGE, f"--t-grid: {exc}") from exc
     emp_poly = feasible.polytope_h_rep(empirical)
     mode = (hausdorff.HausdorffMode.EXACT if exact_ok
             else hausdorff.HausdorffMode.LOWER_BOUND)

@@ -5,6 +5,7 @@ bound, and the required per-pair sample size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,6 @@ class Dataset:
     transition_counts: np.ndarray  # (S, A, S) int64
     action_counts: np.ndarray  # (n+1, S, A) int64
 
-    @staticmethod
-    def empty(num_states: int, num_actions: int, num_experts: int) -> "Dataset":
-        return Dataset(
-            np.zeros((num_states, num_actions, num_states), dtype=np.int64),
-            np.zeros((num_experts + 1, num_states, num_actions), dtype=np.int64),
-        )
-
     def pair_counts(self) -> np.ndarray:
         """N(s, a) = total environment samples at each pair."""
         return self.transition_counts.sum(axis=2)
@@ -46,30 +40,14 @@ class GenerativeModel:
     """Seeded oracle over a true problem: a query at (s, a) returns one next
     state and one action per expert policy (optimal expert first).
 
-    Draws use inverse-CDF over the stored rows, one uniform per draw, so a
-    fixed seed reproduces the sample stream exactly.
+    The sampler draws only the counts of a batch of queries, as multinomials
+    from the stored rows, so a fixed seed reproduces the counts exactly.
     """
 
     def __init__(self, truth: IrlSeProblem, seed: int):
         self.truth = truth
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._trans_cdf = np.cumsum(truth.mdp.transition, axis=2)
-        policies = [truth.optimal_policy] + [ex.policy for ex in truth.experts]
-        self._policy_cdfs = [np.cumsum(pi.probs, axis=1) for pi in policies]
-
-    def sample_block(self, s: int, a: int, m: int):
-        """m queries at (s, a): m next states, then m actions per policy."""
-        S, A = self.truth.num_states, self.truth.num_actions
-        next_states = np.minimum(
-            np.searchsorted(self._trans_cdf[s, a], self._rng.random(m), side="right"),
-            S - 1,
-        )
-        action_blocks = []
-        for cdf in self._policy_cdfs:
-            idx = np.minimum(np.searchsorted(cdf[s], self._rng.random(m), side="right"), A - 1)
-            action_blocks.append(idx)
-        return next_states, action_blocks
 
 
 def empirical_problem(dataset: Dataset, truth: IrlSeProblem) -> IrlSeProblem:
@@ -93,20 +71,32 @@ def empirical_problem(dataset: Dataset, truth: IrlSeProblem) -> IrlSeProblem:
     return IrlSeProblem(mdp_hat, optimal_hat, experts_hat)
 
 
+def _unit_rows(probs: np.ndarray) -> np.ndarray:
+    """Rows rescaled to sum to 1: the problem accepts sums of 1 +- 1e-12,
+    the multinomial no entry above 1."""
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def us_irl_se(model: GenerativeModel, m: int):
     """Uniform sampling: exactly m queries at every (s, a); returns the
-    plug-in problem and the dataset."""
+    plug-in problem and the dataset.
+
+    Only counts enter the plug-in problem, so they are drawn directly:
+    N(s, a, .) ~ Mult(m, p(.|s, a)) and, since each state is queried A*m
+    times, N_i(s, .) ~ Mult(A*m, pi_i(.|s)). The cost does not grow with m.
+    """
+    m = operator.index(m)
+    truth = model.truth
+    A = truth.num_actions
     if m < 0:
         raise ValueError("sample count m must be non-negative")
-    truth = model.truth
-    S, A = truth.num_states, truth.num_actions
-    dataset = Dataset.empty(S, A, truth.num_experts)
-    for s in range(S):
-        for a in range(A):
-            next_states, action_blocks = model.sample_block(s, a, m)
-            np.add.at(dataset.transition_counts[s, a], next_states, 1)
-            for i, block in enumerate(action_blocks):
-                np.add.at(dataset.action_counts[i, s], block, 1)
+    if A * m >= 2 ** 63:
+        raise ValueError(f"sample count m={m} is too large: {A} * m counts "
+                         "per state do not fit in 64-bit integers")
+    policies = np.stack([truth.optimal_policy.probs]
+                        + [ex.policy.probs for ex in truth.experts])
+    dataset = Dataset(model._rng.multinomial(m, _unit_rows(truth.mdp.transition)),
+                      model._rng.multinomial(A * m, _unit_rows(policies)))
     return empirical_problem(dataset, truth), dataset
 
 

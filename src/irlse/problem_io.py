@@ -118,10 +118,6 @@ def read_problem(path) -> tuple[IrlSeProblem, dict]:
     return problem_from_dict(doc)
 
 
-def write_reward(path, reward: RewardFunction) -> None:
-    Path(path).write_text(json.dumps(reward.values.tolist()) + "\n")
-
-
 def read_reward(path) -> RewardFunction:
     try:
         values = json.loads(Path(path).read_text())

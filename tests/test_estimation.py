@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from irlse import (
+    ConstraintMode,
     Dataset,
+    ExpertSpec,
     GenerativeModel,
+    IrlSeProblem,
+    MdpNoReward,
+    Policy,
     complexity_constants,
     concentration_radii,
     empirical_problem,
@@ -60,10 +65,51 @@ class TestSampling:
             assert got.xi == want.xi and got.mode == want.mode
 
     def test_zero_count_fallbacks(self, truth):
-        ds = Dataset.empty(truth.num_states, truth.num_actions, truth.num_experts)
+        S, A, n = truth.num_states, truth.num_actions, truth.num_experts
+        ds = Dataset(np.zeros((S, A, S), dtype=np.int64),
+                     np.zeros((n + 1, S, A), dtype=np.int64))
         emp = empirical_problem(ds, truth)
         assert np.all(emp.mdp.transition == 1.0 / truth.num_states)
         assert np.all(emp.optimal_policy.probs == 1.0 / truth.num_actions)
+
+    def test_count_moments(self, truth):
+        # m queries at (s, a) give Mult(m, p(.|s, a)) next-state counts; the
+        # A*m queries at s give Mult(A*m, pi_i(.|s)) action counts per expert
+        m, seeds = 20, 2000
+        draws = [us_irl_se(GenerativeModel(truth, seed), m)[1] for seed in range(seeds)]
+        policies = np.stack([truth.optimal_policy.probs]
+                            + [ex.policy.probs for ex in truth.experts])
+        for counts, n, p in (
+                (np.stack([d.transition_counts for d in draws]), m, truth.mdp.transition),
+                (np.stack([d.action_counts for d in draws]), truth.num_actions * m,
+                 policies)):
+            want_var = n * p * (1.0 - p)
+            err = np.abs(counts.mean(axis=0) - n * p)
+            assert np.all(err <= 4.0 * np.sqrt(want_var / seeds) + 1e-12)
+            wide = want_var >= 1.0
+            assert wide.any()
+            ratio = counts.var(axis=0, ddof=1)[wide] / want_var[wide]
+            assert np.all(np.abs(ratio - 1.0) <= 0.15)
+
+    def test_huge_m_draws_counts_only(self):
+        truth = example_fig1()
+        _, ds = us_irl_se(GenerativeModel(truth, 0), 2 ** 60)
+        assert np.all(ds.pair_counts() == 2 ** 60)
+        assert np.all(ds.action_counts.sum(axis=2) == truth.num_actions * 2 ** 60)
+
+    def test_oversized_m_raises(self):
+        truth = example_fig1()  # A = 2
+        with pytest.raises(ValueError, match="64-bit"):
+            us_irl_se(GenerativeModel(truth, 0), 2 ** 62)
+
+    def test_rows_summing_slightly_above_one(self):
+        row = [1.0 + 9e-13, 0.0]
+        mdp = MdpNoReward(2, 2, np.array([[row, row], [row, row]]), 0.9)
+        policy = Policy(np.array([row, row]))
+        truth = IrlSeProblem(mdp, policy, (ExpertSpec(policy, 0.5, ConstraintMode.UPPER),))
+        _, ds = us_irl_se(GenerativeModel(truth, 0), 30)
+        assert np.all(ds.transition_counts[:, :, 0] == 30)
+        assert np.all(ds.action_counts[:, :, 0] == 60)
 
 
 class TestPiMin:

@@ -1,5 +1,6 @@
 """LP core, vertex enumeration, and Hausdorff distances."""
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from irlse import (
     lp_solve,
     polytope_h_rep,
     random_problem,
+    read_problem,
     sample_support_points,
     us_irl_se,
 )
@@ -41,6 +43,8 @@ from oracles import (
 )
 
 scipy_opt = pytest.importorskip("scipy.optimize")
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def box_polytope(lo, hi):
@@ -576,9 +580,10 @@ class TestHausdorff:
 
     def test_nonempty_pair_is_not_reported_empty(self):
         # phase one of the unshifted distance LP declared this non-empty
-        # pair infeasible; HiGHS gives 0.10466604803247626
+        # pair infeasible; HiGHS gives 0.10466604803247626. The plug-in
+        # problem is pinned in a file: its metadata names how it was drawn.
         truth = random_problem(5, 4, 2, 0.9, seed=1)
-        empirical, _ = us_irl_se(GenerativeModel(truth, 995966919), 100)
+        empirical, _ = read_problem(DATA / "nonempty_pair_empirical.json")
         rep = hausdorff_distance(polytope_h_rep(truth), polytope_h_rep(empirical),
                                  HausdorffMode.LOWER_BOUND, budget=16, seed=2000803381)
         assert rep.value == pytest.approx(0.104666048032476, abs=1e-9)

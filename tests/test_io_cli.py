@@ -27,7 +27,6 @@ from irlse import (
     read_problem,
     read_reward,
     write_problem,
-    write_reward,
 )
 from irlse.cli import main
 from oracles import highs_directed_sup, highs_support_points
@@ -54,6 +53,11 @@ def d64_path(tmp_path):
     path = tmp_path / "d64.json"
     write_problem(path, random_problem(8, 8, 2, 0.9, seed=1))
     return path
+
+
+def write_reward(path, reward: RewardFunction) -> None:
+    """A reward file as `read_reward` reads it: a JSON S x A nested list."""
+    path.write_text(json.dumps(reward.values.tolist()) + "\n")
 
 
 def write_r(tmp_path, values, name="r.json"):
@@ -179,6 +183,27 @@ class TestCliBadInput:
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    # A*m action counts per state must fit in int64; fig1 has A = 2 and the
+    # d = 64 problem A = 8, where --epsilon 5e-6 asks for m ~ 2.0e18 < 2^62
+    OVERSIZED = [
+        (["estimate", "{fig1}", "{out}", "--m", str(2 ** 62)], 2),
+        (["estimate", "{fig1}", "{out}", "--m", str(10 ** 23)], 2),
+        (["sweep", "{fig1}", "{out}", "--t-grid", f"10,{2 ** 62}"], 2),
+        (["estimate", "{d64}", "{out}", "--epsilon", "5e-6", "--delta", "0.05"], 4),
+    ]
+
+    @pytest.mark.parametrize("argv,code", OVERSIZED,
+                             ids=["m 2^62", "m 10^23", "t-grid 2^62", "epsilon 5e-6"])
+    def test_oversized_sample_size(self, argv, code, fig1_path, d64_path,
+                                   tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(fig1=fig1_path, d64=d64_path, out=out) for a in argv]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "64-bit" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["estimate", "{p}", "{out}", "--m", "5"],

@@ -117,8 +117,8 @@ def _polytope_pair(pa, pb):
 def cmd_hausdorff(args) -> int:
     problem_a, _ = _load_problem(args.problem_a)
     problem_b, _ = _load_problem(args.problem_b)
-    if problem_a.dim != problem_b.dim:
-        raise _CliError(EXIT_DATA, "problems have different state-action dimensions")
+    if problem_a.optimal_policy.probs.shape != problem_b.optimal_policy.probs.shape:
+        raise _CliError(EXIT_DATA, "problems have different numbers of states or actions")
     poly_a, poly_b = _polytope_pair(problem_a, problem_b)
     mode = (hausdorff.HausdorffMode.EXACT if args.mode == "exact"
             else hausdorff.HausdorffMode.LOWER_BOUND)

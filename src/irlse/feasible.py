@@ -40,8 +40,8 @@ class ExpertSpec:
     mode: ConstraintMode = ConstraintMode.UPPER
 
     def __post_init__(self):
-        if not (self.xi > 0):
-            raise ValueError(f"xi must be strictly positive, got {self.xi}")
+        if not (0 < self.xi < np.inf):
+            raise ValueError(f"xi must be finite and strictly positive, got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -279,86 +279,61 @@ def _value_functional(m: MdpNoReward, pi: Policy) -> np.ndarray:
 def polytope_h_rep(problem: IrlSeProblem) -> RewardPolytope:
     """Affine transcription of the membership conditions into G vec(r) <= h.
 
-    Emits box rows, optimality rows for pairs unplayed by the optimal expert,
-    paired equality rows for supported pairs when the optimal policy is
-    stochastic, and per-state expert-gap rows per mode. Best-effort redundancy
-    elimination drops rows implied by the box or by a scaled duplicate.
+    Rows, in order: the box (r_j <= 1, then -r_j <= 0, per coordinate); per
+    pair, adv(s, a) <= 0 (adv = Q - V of the optimal policy) if that policy
+    does not play a, else the pair adv(s, a) <= 0, -adv(s, a) <= 0; then each
+    expert's gap rows by state. Equality pairs come only from states with
+    k >= 2 played actions, for all but the most likely (the first on a tie):
+    as sum_a pi(a|s) adv(s, a) = 0 for every reward, its row is implied.
+    Non-box rows the unit box implies are dropped, and of the rows that scale
+    to the same direction only the tightest is kept (the first on a tie), so
+    a tighter row in its direction replaces a box row.
     """
     S, A = problem.num_states, problem.num_actions
     d = S * A
     m, pi1 = problem.mdp, problem.optimal_policy
     w_v1 = _value_functional(m, pi1)
-    p_flat = m.transition.reshape(d, S)
-    w_q1 = np.eye(d) + m.discount * (p_flat @ w_v1)
-
-    # box rows interleaved per coordinate: r_j <= 1, then -r_j <= 0
-    rows = list(np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d))
-    bounds = [1.0, 0.0] * d
-    labels = ["box"] * (2 * d)
-
+    adv = (np.eye(d) + m.discount * (m.transition.reshape(d, S) @ w_v1)
+           - np.repeat(w_v1, A, axis=0))
     support = pi1.support_mask()
-    deterministic = bool(np.all(support.sum(axis=1) == 1))
-    for s in range(S):
-        for a in range(A):
-            row = w_q1[s * A + a] - w_v1[s]
-            if not support[s, a]:
-                rows.append(row)
-                bounds.append(0.0)
-                labels.append("optimality")
-            elif not deterministic:
-                rows.append(row)
-                bounds.append(0.0)
-                labels.append("equality")
-                rows.append(-row)
-                bounds.append(0.0)
-                labels.append("equality")
+    equality = (support & (support.sum(axis=1, keepdims=True) >= 2)
+                & (np.arange(A) != pi1.probs.argmax(axis=1)[:, None]))
 
+    # candidate rows f <= b, -f <= b' for each functional f; `emit` picks rows
+    funcs = [np.eye(d), adv]
+    bounds = [np.tile([1.0, 0.0], (d, 1)), np.zeros((d, 2))]
+    emit = [np.ones((d, 2), dtype=bool),
+            np.stack([~support | equality, equality], axis=-1).reshape(d, 2)]
+    labels = [np.full((d, 2), "box"),
+              np.stack([np.where(support, "equality", "optimality"),
+                        np.full((S, A), "equality")], axis=-1).reshape(d, 2)]
     for i, ex in enumerate(problem.experts):
-        w_vi = _value_functional(m, ex.policy)
-        gap_rows = w_v1 - w_vi  # per-state gap functionals
-        for s in range(S):
-            if ex.mode in (ConstraintMode.UPPER, ConstraintMode.EXACT):
-                rows.append(gap_rows[s])
-                bounds.append(ex.xi)
-                labels.append(f"expert:{i}")
-            if ex.mode in (ConstraintMode.LOWER, ConstraintMode.EXACT):
-                rows.append(-gap_rows[s])
-                bounds.append(-ex.xi)
-                labels.append(f"expert:{i}")
-
-    G = np.array(rows)
-    h = np.array(bounds)
+        funcs.append(w_v1 - _value_functional(m, ex.policy))  # per-state gaps
+        bounds.append(np.tile([ex.xi, -ex.xi], (S, 1)))
+        emit.append(np.tile([ex.mode is not ConstraintMode.LOWER,
+                             ex.mode is not ConstraintMode.UPPER], (S, 1)))
+        labels.append(np.full((S, 2), f"expert:{i}"))
+    emit = np.concatenate(emit).ravel()
+    G = np.concatenate([np.stack([f, -f], axis=1) for f in funcs]).reshape(-1, d)[emit]
+    h = np.concatenate(bounds).ravel()[emit]
+    labels = np.concatenate(labels).ravel()[emit]
     G[np.abs(G) < COEF_CLEAN_TOL] = 0.0
-    G, h, labels = _drop_redundant_rows(G, h, labels)
-    return RewardPolytope(S, A, G, h, tuple(labels))
+    keep = _irredundant_rows(G, h, labels == "box")
+    return RewardPolytope(S, A, G[keep], h[keep], tuple(labels[keep].tolist()))
 
 
-def _drop_redundant_rows(G: np.ndarray, h: np.ndarray, labels):
-    """Drop rows implied by the unit box alone or by a scaled duplicate row.
-
-    Box rows themselves are always kept; exact minimality is not attempted.
-    """
-    keep = []
-    # normalized kept rows and bounds, filled up to len(keep)
-    kept_rows = np.empty(G.shape)
-    kept_bounds = np.empty(h.shape)
-    for idx in range(G.shape[0]):
-        row, bound, label = G[idx], h[idx], labels[idx]
-        if label != "box":
-            # implied by the box: max of row . r over [0,1]^d
-            if np.sum(np.clip(row, 0.0, None)) <= bound + COEF_CLEAN_TOL:
-                continue
-        scale = np.max(np.abs(row))
-        if scale <= COEF_CLEAN_TOL:
-            # a zero row that got past the box test reads 0 <= h with h < 0,
-            # so the set is empty; scaled to 0 <= -1, one such row is kept
-            scale = -bound
-        normed_row, normed_bound = row / scale, bound / scale
-        k = len(keep)
-        duplicate = ((np.max(np.abs(kept_rows[:k] - normed_row), axis=1) < 1e-10)
-                     & (kept_bounds[:k] <= normed_bound + 1e-10))
-        if np.any(duplicate):
-            continue
-        kept_rows[k], kept_bounds[k] = normed_row, normed_bound
-        keep.append(idx)
-    return G[keep], h[keep], [labels[i] for i in keep]
+def _irredundant_rows(G: np.ndarray, h: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows to keep: no non-box row that the unit box
+    implies, and per direction (a row over its max |entry|, to 1e-10) the row
+    with the tightest scaled bound, the first on a tie."""
+    # a row the box implies has max over [0, 1]^d of row . r at most its bound
+    rows = np.flatnonzero(box | (np.clip(G, 0.0, None).sum(axis=1) > h + COEF_CLEAN_TOL))
+    scale = np.abs(G[rows]).max(axis=1)
+    # a zero row that got past the box test reads 0 <= h with h < 0, so the
+    # set is empty; scaled to 0 <= -1, one such row is kept
+    scale = np.where(scale > COEF_CLEAN_TOL, scale, -h[rows])
+    direction = np.round(G[rows] / scale[:, None], 10)
+    # by direction, then bound; the sort is stable, so ties keep row order
+    order = np.lexsort(np.vstack([np.round(h[rows] / scale, 10), direction.T]))
+    first = np.r_[True, np.any(np.diff(direction[order], axis=0) != 0, axis=1)]
+    return np.sort(rows[order[first]])

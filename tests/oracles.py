@@ -1,5 +1,6 @@
 """Independent oracles the tests check the package against: Q-level
 membership, the per-expert constraints on zeta, value iteration, the
+per-pair H-representation builder with its greedy row dedupe, the
 row-by-row simplex, the pairwise vertex dedupe, vertices from every row
 subset, and HiGHS point-to-polytope distances over those vertices; plus the
 problem builders several test modules share."""
@@ -9,13 +10,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from irlse.feasible import (
+    COEF_CLEAN_TOL,
     DEFAULT_TOL,
     ConstraintMode,
     ExpertSpec,
     IrlSeProblem,
     MembershipReport,
+    RewardPolytope,
     Violation,
     _check_reward_box,
+    _value_functional,
 )
 from irlse.hausdorff import DEDUPE_TOL, LP_TOL, PHASE_ONE_TOL, LinearProgram, LpResult
 from irlse.mdp import (
@@ -145,6 +149,97 @@ def value_iteration_values(m: MdpNoReward, r: RewardFunction, pi: Policy,
     for _ in range(sweeps):
         v = rew + m.discount * trans @ v
     return v
+
+
+def h_rep_loop(problem: IrlSeProblem) -> RewardPolytope:
+    """Affine transcription of the membership conditions into G vec(r) <= h.
+
+    Emits box rows, optimality rows for pairs unplayed by the optimal expert,
+    paired equality rows for supported pairs when the optimal policy is
+    stochastic, and per-state expert-gap rows per mode. Best-effort redundancy
+    elimination drops rows implied by the box or by a scaled duplicate.
+
+    The per-pair builder polytope_h_rep replaced; for an optimal policy that
+    is deterministic it must give byte-identical G, h and labels.
+    """
+    S, A = problem.num_states, problem.num_actions
+    d = S * A
+    m, pi1 = problem.mdp, problem.optimal_policy
+    w_v1 = _value_functional(m, pi1)
+    p_flat = m.transition.reshape(d, S)
+    w_q1 = np.eye(d) + m.discount * (p_flat @ w_v1)
+
+    # box rows interleaved per coordinate: r_j <= 1, then -r_j <= 0
+    rows = list(np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d))
+    bounds = [1.0, 0.0] * d
+    labels = ["box"] * (2 * d)
+
+    support = pi1.support_mask()
+    deterministic = bool(np.all(support.sum(axis=1) == 1))
+    for s in range(S):
+        for a in range(A):
+            row = w_q1[s * A + a] - w_v1[s]
+            if not support[s, a]:
+                rows.append(row)
+                bounds.append(0.0)
+                labels.append("optimality")
+            elif not deterministic:
+                rows.append(row)
+                bounds.append(0.0)
+                labels.append("equality")
+                rows.append(-row)
+                bounds.append(0.0)
+                labels.append("equality")
+
+    for i, ex in enumerate(problem.experts):
+        w_vi = _value_functional(m, ex.policy)
+        gap_rows = w_v1 - w_vi  # per-state gap functionals
+        for s in range(S):
+            if ex.mode in (ConstraintMode.UPPER, ConstraintMode.EXACT):
+                rows.append(gap_rows[s])
+                bounds.append(ex.xi)
+                labels.append(f"expert:{i}")
+            if ex.mode in (ConstraintMode.LOWER, ConstraintMode.EXACT):
+                rows.append(-gap_rows[s])
+                bounds.append(-ex.xi)
+                labels.append(f"expert:{i}")
+
+    G = np.array(rows)
+    h = np.array(bounds)
+    G[np.abs(G) < COEF_CLEAN_TOL] = 0.0
+    G, h, labels = _drop_redundant_rows_loop(G, h, labels)
+    return RewardPolytope(S, A, G, h, tuple(labels))
+
+
+def _drop_redundant_rows_loop(G: np.ndarray, h: np.ndarray, labels):
+    """Drop rows implied by the unit box alone or by a scaled duplicate row.
+
+    Box rows themselves are always kept; exact minimality is not attempted.
+    """
+    keep = []
+    # normalized kept rows and bounds, filled up to len(keep)
+    kept_rows = np.empty(G.shape)
+    kept_bounds = np.empty(h.shape)
+    for idx in range(G.shape[0]):
+        row, bound, label = G[idx], h[idx], labels[idx]
+        if label != "box":
+            # implied by the box: max of row . r over [0,1]^d
+            if np.sum(np.clip(row, 0.0, None)) <= bound + COEF_CLEAN_TOL:
+                continue
+        scale = np.max(np.abs(row))
+        if scale <= COEF_CLEAN_TOL:
+            # a zero row that got past the box test reads 0 <= h with h < 0,
+            # so the set is empty; scaled to 0 <= -1, one such row is kept
+            scale = -bound
+        normed_row, normed_bound = row / scale, bound / scale
+        k = len(keep)
+        duplicate = ((np.max(np.abs(kept_rows[:k] - normed_row), axis=1) < 1e-10)
+                     & (kept_bounds[:k] <= normed_bound + 1e-10))
+        if np.any(duplicate):
+            continue
+        kept_rows[k], kept_bounds[k] = normed_row, normed_bound
+        keep.append(idx)
+    return G[keep], h[keep], [labels[i] for i in keep]
 
 
 def _pivot_loop(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):

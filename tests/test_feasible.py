@@ -6,11 +6,15 @@ from irlse import (
     CanonicalParams,
     ConstraintMode,
     ExpertSpec,
+    GenerativeModel,
     IrlSeProblem,
     MdpNoReward,
     Policy,
     RewardFunction,
     example_fig1,
+    lb_chain,
+    lb_subopt,
+    lb_tree,
     mask_unsupported,
     membership_implicit,
     occupancy_matrix,
@@ -18,16 +22,49 @@ from irlse import (
     polytope_h_rep,
     random_problem,
     reward_from_params,
+    us_irl_se,
     value_functions,
     volume_upper_bounds,
     zeta_caps,
 )
-from oracles import check_zeta_constraints, expert_zeta_load, membership_q, without_expert
+from irlse.feasible import _irredundant_rows
+from oracles import (
+    check_zeta_constraints,
+    expert_zeta_load,
+    h_rep_loop,
+    membership_q,
+    without_expert,
+)
 
 
 @pytest.fixture
 def fig1():
     return example_fig1(0.9, 0.5)
+
+
+def deterministic_optimal_problems():
+    """Problems whose optimal policy is deterministic: the benchmark truths
+    (d = 6, 20, 64) with plug-in estimates at m = 10 ... 10^4, the d = 8
+    lower-bound pairs and the other lb families, fig1, and random problems."""
+    truths = [random_problem(3, 2, 1, 0.9, seed=0), random_problem(5, 4, 2, 0.9, seed=1),
+              random_problem(8, 8, 2, 0.9, seed=1)]
+    for truth in truths:
+        yield truth
+        for m in (10, 100, 1000, 10000):
+            for seed in (0, 1):
+                yield us_irl_se(GenerativeModel(truth, seed), m)[0]
+    for g in (0.8, 0.9, 0.99):
+        for e in (0.05, 0.1):
+            for v in (None, (0, 0), (0, 1)):
+                yield lb_chain(1, 2, g, e, v)
+            for v in (None, (1, -1), (-1, 1)):
+                yield lb_tree(2, 2, g, e, v)
+        for state in (None, 0, 1):
+            yield lb_subopt(2, g, 0.1, 0.25, 2.0, state)
+    yield example_fig1(0.9, 0.5)
+    for seed in range(10):
+        yield random_problem(3, 2, 2, 0.9, seed=seed)
+        yield random_problem(4, 3, 1, 0.6, seed=seed)
 
 
 def member_reward(problem, rng, zeta_scale=None):
@@ -251,6 +288,68 @@ class TestPolytope:
     def test_labels_present(self, fig1):
         poly = polytope_h_rep(fig1)
         assert set(poly.labels) == {"box", "optimality", "expert:0"}
+
+    def test_matches_loop_oracle_for_deterministic_optimal(self):
+        # no equality rows and no tighter later row in a kept direction: the
+        # array builder and the per-pair loop with its greedy dedupe agree
+        # to the byte, so every benchmark LP stays the same
+        for problem in deterministic_optimal_problems():
+            assert np.all(problem.optimal_policy.support_mask().sum(axis=1) == 1)
+            new, old = polytope_h_rep(problem), h_rep_loop(problem)
+            assert new.G.shape == old.G.shape
+            assert new.G.tobytes() == old.G.tobytes()
+            assert new.h.tobytes() == old.h.tobytes()
+            assert new.labels == old.labels
+
+    def test_implied_equality_row_not_emitted(self):
+        # pi*(.|0) plays all three actions: the row of the most likely one
+        # (action 1) is implied by the other two, so the state gives
+        # 2 (k - 1) = 4 equality rows, and the deterministic state 1 none
+        rng = np.random.default_rng(9)
+        mdp = MdpNoReward(2, 3, rng.dirichlet(np.ones(2), size=(2, 3)), 0.9)
+        pi1 = Policy(np.array([[0.2, 0.5, 0.3], [0.0, 1.0, 0.0]]))
+        problem = IrlSeProblem(mdp, pi1, ())
+        poly = polytope_h_rep(problem)
+        assert poly.labels.count("equality") == 4
+        assert h_rep_loop(problem).labels.count("equality") == 6
+        # the four rows are +-adv(0, 0) and +-adv(0, 2), in pair order
+        _, _, adv = value_functions(mdp, RewardFunction(np.eye(6)[0].reshape(2, 3)), pi1)
+        equality = poly.G[np.array(poly.labels) == "equality"]
+        assert np.allclose(equality[:, 0], [adv[0, 0], -adv[0, 0], adv[0, 2], -adv[0, 2]])
+        for _ in range(50):
+            r = member_reward(problem, rng)
+            assert poly.contains(r.values)
+
+    def test_tighter_copy_of_an_expert_replaces_it(self):
+        # the same expert with xi and xi / 2: each row of the first is a
+        # looser copy of a row of the second, which is kept in its place
+        base = random_problem(3, 2, 1, 0.9, seed=0)
+        ex = base.experts[0]
+        problem = IrlSeProblem(base.mdp, base.optimal_policy,
+                               (ex, ExpertSpec(ex.policy, ex.xi / 2)))
+        poly, old = polytope_h_rep(problem), h_rep_loop(problem)
+        assert (len(old.labels), len(poly.labels)) == (21, 18)
+        assert poly.labels.count("expert:1") == 3 and "expert:0" not in poly.labels
+        assert np.all(poly.h[-3:] == ex.xi / 2)
+
+    def test_proportional_gap_rows_collapse(self):
+        # the expert differs from pi* only at state 1, so its gap rows at
+        # states 0 and 1 are proportional; the tighter (the later) stays
+        problem = lb_subopt(1, 0.9, 0.1, 0.25, 2.0, None)
+        poly, old = polytope_h_rep(problem), h_rep_loop(problem)
+        assert (len(old.labels), len(poly.labels)) == (17, 16)
+        assert poly.labels.count("expert:0") == 1
+        assert poly.G[-1].tobytes() == old.G[-1].tobytes() and poly.h[-1] == old.h[-1]
+
+    def test_irredundant_rows(self):
+        # box rows of [0, 1]^2, then 2 r_0 <= 1 (tighter than the box row
+        # r_0 <= 1, which it replaces), r_0 + r_1 <= 2 (implied by the box),
+        # -r_1 <= 0 again (a tie: the box row stays) and two empty rows
+        G = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1],
+                      [2, 0], [1, 1], [0, -3], [0, 0], [0, 0]])
+        h = np.array([1.0, 0, 1, 0, 1, 2, 0, -2, -1])
+        box = np.arange(9) < 4
+        assert _irredundant_rows(G, h, box).tolist() == [1, 2, 3, 4, 7]
 
 
 class TestShrinkage:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import irlse.hausdorff as hausdorff_module
@@ -35,8 +35,10 @@ from irlse import (
 from oracles import (
     _pivot_loop,
     drop_near_duplicates_loop,
+    h_rep_loop,
     highs_directed_sup,
     highs_is_empty,
+    highs_support_points,
     lp_solve_loop,
     near_one_discount_problems,
     vertices_by_subsets,
@@ -289,6 +291,9 @@ class TestVectorisedSimplex:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),
            mode=st.sampled_from(list(ConstraintMode)))
+    # with the implied equality row, these support LPs ended outside the set
+    @example(seed=2969, gamma=0.999, mode=ConstraintMode.UPPER)
+    @example(seed=4025, gamma=0.999, mode=ConstraintMode.UPPER)
     def test_near_one_discount_stochastic_optimal(self, seed, gamma, mode):
         # a stochastic optimal policy adds equality rows, so the sets are
         # lower-dimensional and the LPs degenerate; LOWER/EXACT experts can
@@ -332,6 +337,8 @@ class TestVectorisedSimplex:
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),
            modes=st.tuples(st.sampled_from(list(ConstraintMode)),
                            st.sampled_from(list(ConstraintMode))))
+    # with the implied equality row, this read 0.57088 against HiGHS 0.49991
+    @example(seed=2969, gamma=0.999, modes=(ConstraintMode.LOWER, ConstraintMode.UPPER))
     def test_near_one_discount_exact_distance_matches_highs(self, seed, gamma, modes):
         # the same draws with two experts, one per set: the exact distance
         # equals HiGHS over independently enumerated vertices, and an empty
@@ -346,6 +353,27 @@ class TestVectorisedSimplex:
         d21 = highs_directed_sup(vertices_by_subsets(p2.G, p2.h), p1.G, p1.h)
         assert rep.directed[0] == pytest.approx(d12, abs=1e-7)
         assert rep.directed[1] == pytest.approx(d21, abs=1e-7)
+
+
+    @pytest.mark.parametrize("gamma", [0.99, 0.999])
+    def test_near_one_discount_same_set_as_loop_oracle(self, gamma):
+        # without the implied equality row the set is the same: HiGHS support
+        # points of each H-rep lie in the other. The rows differ: the loop
+        # keeps the most likely action's pair and drops its partner as a
+        # scaled duplicate (at seed 44, gamma 0.999, LOWER, the subset
+        # oracle finds 82 vertices from those rows and 68 from these)
+        directions = np.vstack([np.eye(6), -np.eye(6),
+                                np.random.default_rng(0).normal(size=(20, 6))])
+        for seed in (*range(6), 44):
+            for problem in near_one_discount_problems(seed, gamma, list(ConstraintMode)):
+                new, old = polytope_h_rep(problem), h_rep_loop(problem)
+                assert new.labels.count("equality") == 2
+                assert highs_is_empty(new.G, new.h) == highs_is_empty(old.G, old.h)
+                if highs_is_empty(new.G, new.h):
+                    continue
+                for a, b in ((new, old), (old, new)):
+                    points = highs_support_points(directions, a.G, a.h)
+                    assert highs_directed_sup(points, b.G, b.h) <= 1e-9
 
 
 class TestDirectedDistance:

@@ -120,6 +120,13 @@ class TestProblemIo:
         with pytest.raises(ProblemFormatError, match="unknown mode"):
             problem_from_dict(doc)
 
+    @pytest.mark.parametrize("xi", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_xi(self, xi):
+        doc = problem_to_dict(example_fig1(0.9, 0.5))
+        doc["experts"][1]["xi"] = xi
+        with pytest.raises(ProblemFormatError, match="expert 1: xi must be finite"):
+            problem_from_dict(doc)
+
     def test_reward_roundtrip(self, tmp_path):
         values = np.array([[0.123456789012345678, 1.0], [0.0, 1e-17]])
         path = write_r(tmp_path, values)
@@ -183,6 +190,45 @@ class TestCliBadInput:
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    # two problems with S*A = 6 but shapes 2x3 and 3x2
+    MISMATCHED_SHAPES = [
+        ["hausdorff", "{a}", "{b}"],
+        ["hausdorff", "{b}", "{a}", "--mode", "lower", "--budget", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", MISMATCHED_SHAPES,
+                             ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_mismatched_shapes_exit_three(self, argv, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_problem(a, random_problem(2, 3, 1, 0.9, seed=0))
+        write_problem(b, random_problem(3, 2, 1, 0.9, seed=0))
+        assert main([arg.format(a=a, b=b) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: problems have different numbers of states or actions\n"
+
+    # Python's json reads and writes the non-standard literal Infinity
+    INFINITE_XI = [
+        ("ge", ["hausdorff", "{p}", "{p}"]),
+        ("ge", ["hausdorff", "{p}", "{p}", "--mode", "lower"]),
+        ("le", ["estimate", "{p}", "{out}", "--m", "5"]),
+        ("le", ["check", "{p}", "{out}"]),
+    ]
+
+    @pytest.mark.parametrize("mode,argv", INFINITE_XI,
+                             ids=["ge hausdorff", "ge hausdorff lower", "le estimate",
+                                  "le check"])
+    def test_infinite_xi_exit_three(self, mode, argv, tmp_path, capsys):
+        doc = problem_to_dict(example_fig1(0.9, 0.5))
+        doc["experts"][1].update(xi=float("inf"), mode=mode)
+        path, out = tmp_path / "p.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        assert main([a.format(p=path, out=out) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "xi must be finite" in err
         assert not out.exists()
 
     # A*m action counts per state must fit in int64; fig1 has A = 2 and the

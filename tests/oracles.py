@@ -2,8 +2,9 @@
 membership, the per-expert constraints on zeta, value iteration, the
 per-pair H-representation builder with its greedy row dedupe, the
 row-by-row simplex, the pairwise vertex dedupe, vertices from every row
-subset, and HiGHS point-to-polytope distances over those vertices; plus the
-problem builders several test modules share."""
+subset, HiGHS point-to-polytope distances over those vertices, and the
+directed supremum that solves one distance LP per point; plus the problem
+builders several test modules share."""
 import itertools
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,14 @@ from irlse.feasible import (
     _check_reward_box,
     _value_functional,
 )
-from irlse.hausdorff import DEDUPE_TOL, LP_TOL, PHASE_ONE_TOL, LinearProgram, LpResult
+from irlse.hausdorff import (
+    DEDUPE_TOL,
+    LP_TOL,
+    PHASE_ONE_TOL,
+    LinearProgram,
+    LpResult,
+    directed_distance,
+)
 from irlse.mdp import (
     MdpNoReward,
     Policy,
@@ -404,8 +412,8 @@ def highs_support_points(directions: np.ndarray, G: np.ndarray, h: np.ndarray) -
     return np.array(points).reshape(len(directions), G.shape[1])
 
 
-def highs_directed_sup(points: np.ndarray, G: np.ndarray, h: np.ndarray) -> float:
-    """Largest infinity-norm distance from `points` to {x : G x <= h}: one
+def highs_distances(points: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Infinity-norm distance from each of `points` to {x : G x <= h}: one
     HiGHS LP in (x, t) per point, solved together as a block-diagonal LP."""
     from scipy import sparse
     from scipy.optimize import linprog
@@ -418,4 +426,20 @@ def highs_directed_sup(points: np.ndarray, G: np.ndarray, h: np.ndarray) -> floa
     res = linprog(cost, A_ub=sparse.block_diag([block] * k, format="csr"), b_ub=rhs,
                   bounds=(None, None), method="highs", options=HIGHS_OPTIONS)
     assert res.status == 0, res.message
-    return float(np.max(res.x.reshape(k, d + 1)[:, -1]))
+    return res.x.reshape(k, d + 1)[:, -1]
+
+
+def highs_directed_sup(points: np.ndarray, G: np.ndarray, h: np.ndarray) -> float:
+    """Largest infinity-norm distance from `points` to {x : G x <= h}."""
+    return float(np.max(highs_distances(points, G, h)))
+
+
+def directed_sup_loop(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray) -> float:
+    """Largest distance from `points` to `target`. Each LP starts from the
+    anchor (a point of `target`) nearest to its query point, so T is the
+    tightest upper bound at hand."""
+    best = 0.0
+    for point in points:
+        nearest = anchors[np.argmin(np.max(np.abs(anchors - point), axis=1))]
+        best = max(best, directed_distance(point, target, inside=nearest))
+    return best

@@ -34,9 +34,11 @@ from irlse import (
 )
 from oracles import (
     _pivot_loop,
+    directed_sup_loop,
     drop_near_duplicates_loop,
     h_rep_loop,
     highs_directed_sup,
+    highs_distances,
     highs_is_empty,
     highs_support_points,
     lp_solve_loop,
@@ -628,3 +630,135 @@ class TestHausdorff:
         small = sample_support_points(poly, 4, np.random.default_rng(5))
         large = sample_support_points(poly, 9, np.random.default_rng(5))
         assert np.allclose(large[:4], small)
+
+
+def sweep_d6_pairs():
+    """The sweep truth at d=6 and its plug-in estimates, seeds 0-8 at
+    t = 10, 100, 1000: 27 pairs."""
+    problem = random_problem(3, 2, 1, 0.9, seed=0)
+    truth = polytope_h_rep(problem)
+    return [(truth, polytope_h_rep(us_irl_se(GenerativeModel(problem, seed), t)[0]))
+            for seed in range(9) for t in (10, 100, 1000)]
+
+
+def lb_d8_pairs():
+    """The 12 pairs of the d=8 lower-bound benchmark: each base polytope
+    against its two variants."""
+    polys = lb_d8_polytopes()
+    return [(polys[i], polys[i + k]) for i in range(0, len(polys), 3) for k in (1, 2)]
+
+
+def cut_box_pairs():
+    """Each cut box against the unit box of its dimension shifted by 0.25,
+    which holds part of it."""
+    return [(poly, box_polytope(np.full(poly.dim, 0.25), np.full(poly.dim, 1.25)))
+            for poly in cut_boxes(np.random.default_rng(8))]
+
+
+class TestPrunedSupremum:
+    @pytest.mark.parametrize("family", ["sweep_d6", "lb_d8", "cut_boxes"])
+    def test_matches_loop_oracle_exact(self, family):
+        pairs = {"sweep_d6": sweep_d6_pairs, "lb_d8": lb_d8_pairs,
+                 "cut_boxes": cut_box_pairs}[family]()
+        for p1, p2 in pairs:
+            v1, v2 = enumerate_vertices(p1), enumerate_vertices(p2)
+            for points, target, anchors in ((v1, p2, v2), (v2, p1, v1)):
+                got = hausdorff_module._directed_sup(points, target, anchors)
+                assert got == pytest.approx(directed_sup_loop(points, target, anchors),
+                                            abs=1e-12)
+
+    def test_matches_loop_oracle_lower(self):
+        # support points of the d=20 truth and its m=100 estimate, budget 16
+        truth = random_problem(5, 4, 2, 0.9, seed=1)
+        empirical, _ = us_irl_se(GenerativeModel(truth, 1), 100)
+        p1, p2 = polytope_h_rep(truth), polytope_h_rep(empirical)
+        s1 = sample_support_points(p1, 16, np.random.default_rng(0))
+        s2 = sample_support_points(p2, 16, np.random.default_rng(1))
+        for points, target, anchors in ((s1, p2, s2), (s2, p1, s1)):
+            got = hausdorff_module._directed_sup(points, target, anchors)
+            assert got == pytest.approx(directed_sup_loop(points, target, anchors), abs=1e-12)
+
+    def test_close_calls_get_their_lp(self):
+        # the unit square, with one anchor at the origin
+        square = box_polytope([0, 0], [1, 1])
+        origin = np.zeros((1, 2))
+        # (1.5, 1) reads 0.5 from its LP; (-0.5005, 0) has an upper bound
+        # just above that, and it is also its distance
+        points = np.array([[1.5, 1.0], [-0.5005, 0.0]])
+        assert hausdorff_module._directed_sup(points, square, origin) == pytest.approx(
+            0.5005, abs=1e-12)
+        # outside by less than FEAS_TOL, but outside: the inside test is exact
+        point = np.array([[1.0 + 5e-9, 0.5]])
+        got = hausdorff_module._directed_sup(point, square, origin)
+        assert got == pytest.approx(directed_sup_loop(point, square, origin), abs=1e-12)
+        assert got == pytest.approx(5e-9, rel=1e-6)
+
+    def test_zero_row_bounds_nothing(self):
+        # 0 <= -1e-9 holds within FEAS_TOL, so the anchor counts as a point
+        # of the set; the row must not give an infinite lower bound
+        square = box_polytope([0, 0], [1, 1])
+        padded = RewardPolytope(1, 2, np.vstack([square.G, np.zeros(2)]),
+                                np.append(square.h, -1e-9), square.labels + ("zero",))
+        origin = np.zeros((1, 2))
+        points = np.array([[1.5, 1.0], [0.5, 0.5]])
+        got = hausdorff_module._directed_sup(points, padded, origin)
+        assert got == pytest.approx(directed_sup_loop(points, padded, origin), abs=1e-12)
+        assert got == pytest.approx(0.5, abs=1e-12)
+
+    def test_skips_most_lps(self, monkeypatch):
+        # the d=6 sweep truth against its m=100 estimate: at most 60 % of
+        # the vertices of both sides get a distance LP
+        truth = random_problem(3, 2, 1, 0.9, seed=0)
+        p1 = polytope_h_rep(truth)
+        p2 = polytope_h_rep(us_irl_se(GenerativeModel(truth, 0), 100)[0])
+        calls = []
+        solve = hausdorff_module.directed_distance
+        monkeypatch.setattr(hausdorff_module, "directed_distance",
+                            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        hausdorff_distance(p1, p2)
+        vertices = len(enumerate_vertices(p1)) + len(enumerate_vertices(p2))
+        assert 0 < len(calls) <= 0.6 * vertices
+
+    @staticmethod
+    def assert_bounds_hold(poly, rng):
+        # L <= HiGHS distance <= U at points inside (convex combinations of
+        # vertices), on the boundary (vertices, HiGHS support points) and
+        # outside (vertices pushed away from the centre, points of a wider
+        # box)
+        vertices = enumerate_vertices(poly)
+        d = poly.dim
+        inside = rng.dirichlet(np.ones(len(vertices)), size=10) @ vertices
+        boundary = np.vstack([vertices[:10], highs_support_points(
+            rng.standard_normal((10, d)), poly.G, poly.h)])
+        lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+        pushed = vertices[:10] - vertices.mean(axis=0)
+        outside = np.vstack([vertices[:10] + rng.uniform(0.05, 1.0, (len(pushed), 1)) * pushed,
+                             rng.uniform(lo - 1.0, hi + 1.0, size=(10, d))])
+        points = np.vstack([inside, boundary, outside])
+        lower, upper, nearest = hausdorff_module._distance_bounds(points, poly, vertices)
+        dist = highs_distances(points, poly.G, poly.h)
+        # row-relative: the LP tolerances act on rows whose entries reach
+        # 1/(1 - gamma)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(poly.G))))
+        assert np.all(lower <= dist + tol)
+        assert np.all(dist <= upper + tol)
+        assert np.array_equal(upper, np.max(np.abs(points - vertices[nearest]), axis=1))
+        # an exact zero lower bound: the point violates no row
+        violates_none = [np.all(poly.G @ point - poly.h <= 0.0) for point in points]
+        assert np.array_equal(lower == 0.0, violates_none)
+        assert np.any(lower > 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bounds_hold(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        lp = random_bounded_lp(rng, d)
+        poly = RewardPolytope(1, d, lp.G, lp.h, tuple(["row"] * lp.G.shape[0]))
+        self.assert_bounds_hold(poly, rng)
+
+    def test_bounds_hold_near_one_discount(self):
+        # gamma = 0.999: row entries reach 1/(1 - gamma)
+        (poly,) = near_one_discount_polytopes(2969, 0.999, (ConstraintMode.UPPER,))
+        assert np.max(np.abs(poly.G)) > 100.0
+        self.assert_bounds_hold(poly, np.random.default_rng(0))

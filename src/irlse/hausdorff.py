@@ -6,7 +6,10 @@ that it needs no phase one; the supremum side of the Hausdorff distance is
 taken over polytope vertices (the point-to-set distance is convex, so it is
 attained at a vertex), enumerated for small dimensions by a walk over the
 vertex graph or sampled via random LP objectives for a certified lower
-bound.
+bound. The walk leaves a vertex along the extreme rays of its tangent cone:
+the rays of d independent tight rows, refined by double description with
+the vertex's other tight rows, so a degenerate vertex costs its edges, not
+every (d - 1)-subset of its tight rows.
 
 The supremum solves an LP only for a point that can still raise it. Each
 point has an upper bound U, its distance to the nearest point of the other
@@ -20,7 +23,6 @@ d = 6 sweep pairs that leaves 4,069 of 8,709 LPs, with the same values.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ FEAS_TOL = 1e-8
 PHASE_ONE_TOL = 1e-7  # largest auxiliary s* read as feasible
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
-_EDGE_BATCH = 50_000  # candidate edges per batched det/solve
+_BLOCK = 1 << 16  # elements of one (points, anchors, dim) difference block
 
 
 class EmptyPolytopeError(ValueError):
@@ -195,7 +197,9 @@ def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
     so the simplex needs no phase one, and the distance is T plus the LP
     value. p is `inside` when given; otherwise a zero-cost LP finds one and
     raises EmptyPolytopeError on an empty polytope. A p outside the
-    polytope by more than FEAS_TOL raises InfeasiblePointError.
+    polytope by more than FEAS_TOL raises InfeasiblePointError, and so does
+    an LP optimum p + y that violates a row by more than FEAS_TOL times
+    that row's largest entry.
     """
     vec = np.asarray(getattr(r0, "values", r0), dtype=float).reshape(-1)
     d = polytope.dim
@@ -222,6 +226,15 @@ def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
     res = lp_solve(LinearProgram(c, big_G, big_h))
     if res.status != "optimal":  # cannot happen: the origin is feasible and t >= 0
         raise RuntimeError(f"unexpected LP status {res.status}")
+    # row-relative: entries reach 1/(1 - gamma); a zero row does not depend
+    # on the point, and the anchor's check covers it
+    scale = np.max(np.abs(G), axis=1)
+    excess = np.divide(G @ (anchor + res.x[:d]) - h, scale, out=np.zeros_like(h),
+                       where=scale > 0.0)
+    if np.any(excess > FEAS_TOL):
+        raise InfeasiblePointError(
+            f"distance LP optimum violates a polytope row by {float(np.max(excess)):.3g}"
+            " of its largest entry")
     value = reach + res.value
     return 0.0 if value < LP_TOL else float(value)
 
@@ -248,71 +261,114 @@ def _vertex_from(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
             raise ValueError("the polyhedron contains a line, so it has no vertex")
 
 
-def _edge_ends(G: np.ndarray, h: np.ndarray, rows: np.ndarray, owner: np.ndarray,
-               slack: np.ndarray, tight: np.ndarray) -> np.ndarray:
-    """The far ends of the edges that leave vertex owner[k] along the line
-    G[rows[k]] u = 0. `rows` holds dim - 1 tight rows of that vertex; a line
-    of rank below dim - 1 is dropped, and so is a direction +-u that leaves
-    the set through one of the vertex's tight rows. Each end is solved from
-    `rows` and the row that blocks the edge (the ratio test), as a basic
-    point; ValueError when no row blocks it (an unbounded edge)."""
-    n, d = rows.shape[0], G.shape[1]
-    # u solves G_S u = 0, p . u = 1 for one fixed random row p, which no
-    # line of rank dim - 1 meets at a right angle in practice
-    probe = np.zeros((n, d, d))
-    probe[:, :-1] = G[rows]
-    probe[:, -1] = np.random.default_rng(0).standard_normal(d)
-    regular = np.abs(np.linalg.det(probe)) > 1e-12
-    unit = np.zeros((int(np.count_nonzero(regular)), d, 1))
-    unit[:, -1] = 1.0
-    u = np.linalg.solve(probe[regular], unit)[..., 0]
-    u /= np.max(np.abs(u), axis=1, keepdims=True)
-    rows, owner = rows[regular], owner[regular]
-    rates = u @ G.T
-    at = tight[owner]
-    on_tight = np.where(at, rates, 0.0)
-    # +u stays in the set if no tight row grows along it, -u if none shrinks
-    forward = np.flatnonzero(np.all(on_tight <= LP_TOL, axis=1))
-    backward = np.flatnonzero(np.all(on_tight >= -LP_TOL, axis=1))
-    keep = np.concatenate([forward, backward])
-    rates = rates[keep]
-    rates[len(forward):] *= -1.0
-    rows, owner, at = rows[keep], owner[keep], at[keep]
-    closing = ~at & (rates > LP_TOL)
-    ratios = np.divide(slack[owner], rates, out=np.full(rates.shape, np.inf), where=closing)
-    blocking = np.argmin(ratios, axis=1)
-    if np.any(np.isinf(ratios[np.arange(len(blocking)), blocking])):
-        raise ValueError("the polyhedron is unbounded: an edge meets no row")
-    basis = np.hstack([rows, blocking[:, None]])
-    subs = G[basis]
-    nonsingular = np.abs(np.linalg.det(subs)) > 1e-12
-    points = np.linalg.solve(subs[nonsingular], h[basis][nonsingular][..., None])[..., 0]
-    points = points[np.all(np.isfinite(points), axis=1)]
-    return points[np.all(points @ G.T <= h[None, :] + FEAS_TOL, axis=1)]
+def _independent_rows(unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of `rows` (indices into the unit-norm rows `unit`, -1 for
+    none), dim indices of linearly independent rows, by pivoted
+    Gram-Schmidt: each step takes the candidate with the most left once the
+    rows taken are projected out. A place stays -1 when no candidate has
+    more than LP_TOL left, so a row of `dim` indices is a basis."""
+    n, d = rows.shape[0], unit.shape[1]
+    left = np.where(rows[..., None] >= 0, unit[rows], 0.0)
+    picked = np.full((n, d), -1)
+    every = np.arange(n)
+    for step in range(d):
+        size = np.linalg.norm(left, axis=2)
+        best = np.argmax(size, axis=1)
+        top = size[every, best]
+        taken = top > LP_TOL
+        picked[taken, step] = rows[taken, best[taken]]
+        axis = np.where(taken[:, None], left[every, best] / np.maximum(top, LP_TOL)[:, None], 0.0)
+        left -= np.einsum("nk,nd->nkd", np.einsum("nkd,nd->nk", left, axis), axis)
+    return picked
+
+
+def _refine(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Extreme rays of {u : rows u <= 0}, where the first dim rows are a
+    basis with the simplicial cone `rays` (max-norm 1), by double
+    description (Fukuda & Prodon, 1996): each further row removes the rays
+    it is positive on, and each positive ray that is adjacent to a negative
+    one (no third ray lies on every row both lie on) combines with it into a
+    ray on that row. The rows are unit-norm, so the sign test at LP_TOL is
+    row-relative."""
+    d = rays.shape[1]
+    for k in range(d, len(rows)):
+        s = rays @ rows[k]
+        pos = s > LP_TOL
+        if not pos.any():
+            continue
+        off = np.abs(rays @ rows[:k].T) > LP_TOL
+        p, q = np.flatnonzero(pos), np.flatnonzero(s < -LP_TOL)
+        common = ~(off[p][:, None, :] | off[q][None, :, :]).reshape(-1, k)
+        # rays lying on every row of `common`: the pair itself, and any third
+        holding = np.count_nonzero(off.astype(float) @ common.T == 0.0, axis=0)
+        i, j = np.divmod(np.flatnonzero((holding == 2) & (common.sum(axis=1) >= d - 2)),
+                         len(q))
+        new = s[p[i], None] * rays[q[j]] - s[q[j], None] * rays[p[i]]
+        rays = np.vstack([rays[~pos], new / np.max(np.abs(new), axis=1, keepdims=True)])
+    return rays
 
 
 def _neighbours(G: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Basic points one edge away from `vertices`: every (dim - 1)-subset of
-    each vertex's tight rows spans a candidate edge. Vertices with the same
-    number of tight rows share one index table, and the edges of the whole
-    frontier go through _edge_ends in batches of at most _EDGE_BATCH."""
+    """Far ends of the edges at `vertices`: one edge per extreme ray of a
+    vertex's tangent cone {u : G_T u <= 0}, T its tight rows.
+
+    Each vertex takes dim independent tight rows B (_independent_rows); the
+    rays of that simplicial cone are the rows of -inv(G_B)^T, from one
+    batched inverse. A vertex where no ray leaves another tight row (every
+    vertex with dim tight rows) is done; at any other, the rows some ray
+    leaves cut the cone by _refine. Each ray runs to the first non-tight
+    row it meets (the ratio test; ValueError when none does, an unbounded
+    edge). Ends outside a row by more than FEAS_TOL are dropped. Rows are
+    scaled to unit norm, so the sign tests are row-relative."""
     d = G.shape[1]
+    norms = np.linalg.norm(G, axis=1)
+    norms[norms == 0.0] = 1.0
+    unit = G / norms[:, None]
     slack = np.maximum(h[None, :] - vertices @ G.T, 0.0)
     tight = slack <= FEAS_TOL
-    sizes = np.count_nonzero(tight, axis=1)
-    ends = [np.empty((0, d))]
-    for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
-        tight_rows = np.nonzero(tight[group])[1].reshape(len(group), size)
-        subsets = list(itertools.combinations(range(size), d - 1))
-        subsets = np.array(subsets, dtype=int).reshape(len(subsets), d - 1)
-        total = len(group) * len(subsets)
-        for lo in range(0, total, _EDGE_BATCH):
-            pair = np.arange(lo, min(lo + _EDGE_BATCH, total))
-            which, subset = np.divmod(pair, len(subsets))
-            rows = tight_rows[which[:, None], subsets[subset]]
-            ends.append(_edge_ends(G, h, rows, group[which], slack, tight))
-    return np.vstack(ends)
+    width = int(np.max(np.count_nonzero(tight, axis=1)))
+    order = np.argsort(~tight, axis=1, kind="stable")[:, :width]
+    tight_rows = np.where(np.take_along_axis(tight, order, axis=1), order, -1)
+    basis = _independent_rows(unit, tight_rows)
+    full = np.all(basis >= 0, axis=1)  # tight rows of rank below dim: not a vertex
+    vertices, slack, tight = vertices[full], slack[full], tight[full]
+    basis, tight_rows = basis[full], tight_rows[full]
+    rays = -np.swapaxes(np.linalg.inv(unit[basis]), 1, 2)
+    rays /= np.max(np.abs(rays), axis=2, keepdims=True)
+    extra = np.where(np.any(tight_rows[:, :, None] == basis[:, None, :], axis=2),
+                     -1, tight_rows)
+    leaves = np.einsum("nrd,nkd->nrk", rays, np.where(extra[..., None] >= 0, unit[extra], 0.0))
+    cutting = np.any(leaves > LP_TOL, axis=1)
+    degenerate = np.flatnonzero(cutting.any(axis=1))
+    simple = np.flatnonzero(~cutting.any(axis=1))
+    cones = [_refine(rays[k], unit[np.concatenate([basis[k], extra[k, cutting[k]]])])
+             for k in degenerate]
+    owner = np.concatenate([np.repeat(simple, d)]
+                           + [np.full(len(cone), k) for k, cone in zip(degenerate, cones)])
+    directions = np.vstack([rays[simple].reshape(-1, d)] + cones)
+    rates = directions @ unit.T
+    closing = ~tight[owner] & (rates > LP_TOL)
+    ratios = np.divide(slack[owner] / norms, rates, out=np.full(rates.shape, np.inf),
+                       where=closing)
+    step = np.min(ratios, axis=1)
+    if np.any(np.isinf(step)):
+        raise ValueError("the polyhedron is unbounded: an edge meets no row")
+    points = vertices[owner] + step[:, None] * directions
+    return points[np.all(points @ G.T <= h[None, :] + FEAS_TOL, axis=1)]
+
+
+def _nearest(points: np.ndarray, anchors: np.ndarray):
+    """Per point, the index of its nearest anchor in the infinity norm (the
+    first on a tie) and its distance to it. The (points, anchors, dim)
+    differences are taken in blocks of at most _BLOCK elements."""
+    n = len(points)
+    index, gap = np.empty(n, dtype=int), np.empty(n)
+    step = max(1, _BLOCK // anchors.size)
+    for lo in range(0, n, step):
+        gaps = np.max(np.abs(anchors[None, :, :] - points[lo:lo + step, None, :]), axis=2)
+        index[lo:lo + step] = np.argmin(gaps, axis=1)
+        gap[lo:lo + step] = gaps[np.arange(len(gaps)), index[lo:lo + step]]
+    return index, gap
 
 
 def _unseen(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -325,9 +381,9 @@ def _unseen(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     runs = np.r_[True, np.any(np.diff(rounded[order], axis=0) != 0.0, axis=1)]
     first = np.sort(order[runs])
     new = pool[first[first >= len(vertices)]]
-    far = np.array([np.all(np.max(np.abs(vertices - p), axis=1) >= DEDUPE_TOL) for p in new],
-                   dtype=bool)
-    return _drop_near_duplicates(new[far])
+    if len(vertices):
+        new = new[_nearest(new, vertices)[1] >= DEDUPE_TOL]
+    return _drop_near_duplicates(new)
 
 
 def enumerate_vertices(polytope: RewardPolytope, inside=None) -> np.ndarray:
@@ -338,10 +394,11 @@ def enumerate_vertices(polytope: RewardPolytope, inside=None) -> np.ndarray:
     The walk starts at a vertex reached by ray steps from `inside`, a point
     of the polytope (by default one zero-cost LP finds it, and raises
     EmptyPolytopeError on an empty polytope). Each round expands the whole
-    frontier: the edges at a vertex come from its tight rows, and each new
-    vertex is solved from its dim defining rows. Points within DEDUPE_TOL of
-    a vertex already found are the same vertex. An unbounded polyhedron
-    raises ValueError, and dim above DEFAULT_ENUM_CAP DimensionCapError.
+    frontier: the edges at a vertex are the extreme rays of its tangent cone
+    (_neighbours), and each new vertex is where an edge meets its first row.
+    Points within DEDUPE_TOL of a vertex already found are the same vertex.
+    An unbounded polyhedron raises ValueError, and dim above
+    DEFAULT_ENUM_CAP DimensionCapError.
     """
     d = polytope.dim
     if d > DEFAULT_ENUM_CAP:
@@ -415,18 +472,13 @@ def _distance_bounds(points: np.ndarray, target: RewardPolytope, anchors: np.nda
     max over rows of (g . v - h)+ / ||g||_1, the distance to the farthest
     half-space {g . x <= h} of the rows (the l1 norm is the dual of the
     infinity norm); it is 0 exactly when v violates no row, with no
-    tolerance. A row of zeros bounds no direction, so it is left out."""
+    tolerance. A row of zeros bounds no direction, so it is left out. Each
+    g . v is one matrix-vector product, as for a single point."""
     norms = np.sum(np.abs(target.G), axis=1)
     live = norms > 0.0
     G, h, norms = target.G[live], target.h[live], norms[live]
-    n = len(points)
-    lower, upper = np.empty(n), np.empty(n)
-    nearest = np.empty(n, dtype=int)
-    for i, point in enumerate(points):
-        gaps = np.max(np.abs(anchors - point), axis=1)
-        nearest[i] = np.argmin(gaps)
-        upper[i] = gaps[nearest[i]]
-        lower[i] = np.max((G @ point - h) / norms, initial=0.0)
+    nearest, upper = _nearest(points, anchors)
+    lower = np.max(((G @ points[:, :, None])[..., 0] - h) / norms, axis=1, initial=0.0)
     return lower, upper, nearest
 
 

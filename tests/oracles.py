@@ -443,3 +443,20 @@ def directed_sup_loop(points: np.ndarray, target: RewardPolytope, anchors: np.nd
         nearest = anchors[np.argmin(np.max(np.abs(anchors - point), axis=1))]
         best = max(best, directed_distance(point, target, inside=nearest))
     return best
+
+
+def distance_bounds_loop(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray):
+    """The bounds of hausdorff._distance_bounds, one point at a time; oracle
+    for the blocked pass, which must give the same bytes."""
+    norms = np.sum(np.abs(target.G), axis=1)
+    live = norms > 0.0
+    G, h, norms = target.G[live], target.h[live], norms[live]
+    n = len(points)
+    lower, upper = np.empty(n), np.empty(n)
+    nearest = np.empty(n, dtype=int)
+    for i, point in enumerate(points):
+        gaps = np.max(np.abs(anchors - point), axis=1)
+        nearest[i] = np.argmin(gaps)
+        upper[i] = gaps[nearest[i]]
+        lower[i] = np.max((G @ point - h) / norms, initial=0.0)
+    return lower, upper, nearest

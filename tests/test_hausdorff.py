@@ -35,6 +35,7 @@ from irlse import (
 from oracles import (
     _pivot_loop,
     directed_sup_loop,
+    distance_bounds_loop,
     drop_near_duplicates_loop,
     h_rep_loop,
     highs_directed_sup,
@@ -432,6 +433,44 @@ class TestDirectedDistance:
         assert dist == pytest.approx(1.0, abs=1e-9)
         assert np.all(lps[0].h >= 0.0) and lp_solve(lps[0]).pivots[0] == 0
 
+    @pytest.mark.parametrize("step,raises", [(5e-9, False), (2e-8, True)])
+    def test_optimum_outside_raises(self, monkeypatch, step, raises):
+        # x <= 1 written as 1000 x <= 1000: the check is relative to the
+        # row's largest entry, so an optimum 5e-9 outside passes and one
+        # 2e-8 outside raises
+        poly = RewardPolytope(1, 2, np.array([[1000.0, 0], [-1, 0], [0, 1], [0, -1]]),
+                              np.array([1000.0, 0, 1, 0]), ("row",) * 4)
+        monkeypatch.setattr(hausdorff_module, "lp_solve",
+                            lambda lp: LpResult("optimal", 0.0, np.array([step, 0.0, 0.0])))
+        point, inside = np.array([2.0, 0.5]), np.array([1.0, 0.5])
+        if raises:
+            with pytest.raises(InfeasiblePointError):
+                directed_distance(point, poly, inside=inside)
+        else:
+            assert directed_distance(point, poly, inside=inside) == pytest.approx(1.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),
+           modes=st.tuples(st.sampled_from(list(ConstraintMode)),
+                           st.sampled_from(list(ConstraintMode))))
+    def test_distance_lp_points_lie_in_polytope(self, seed, gamma, modes):
+        # rows reach 1/(1 - gamma): every distance-LP point anchor + y
+        # violates no row by more than FEAS_TOL of its largest entry
+        p1, p2 = near_one_discount_polytopes(seed, gamma, modes)
+        if highs_is_empty(p1.G, p1.h) or highs_is_empty(p2.G, p2.h):
+            return
+        lps, _ = solved_lps(hausdorff_distance, p1, p2)
+        d = p1.dim
+        for lp in lps:
+            if lp.G.shape[1] != d + 1:
+                continue
+            # the first rows are the polytope's, with h - G anchor as bounds
+            m = lp.G.shape[0] - 2 * d
+            rows, bounds = lp.G[:m, :d], lp.h[:m]
+            y = lp_solve(lp).x[:d]
+            scale = np.max(np.abs(rows), axis=1)
+            assert np.all(rows @ y - bounds <= hausdorff_module.FEAS_TOL * scale)
+
     @pytest.mark.parametrize("shape,seed,mode", [
         ((3, 2, 1), 0, HausdorffMode.EXACT),
         ((5, 4, 2), 1, HausdorffMode.LOWER_BOUND),
@@ -499,7 +538,7 @@ class TestVertexEnumeration:
             got, want = dedupe(pool), drop_near_duplicates_loop(pool)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("family", ["lb_d8", "sweep_d6", "fig1", "cut_boxes"])
+    @pytest.mark.parametrize("family", ["lb_d8", "sweep_d6", "fig1", "cut_boxes", "near_one"])
     def test_walk_matches_subset_oracle(self, family):
         if family == "lb_d8":
             polys = lb_d8_polytopes()
@@ -511,10 +550,57 @@ class TestVertexEnumeration:
                 for t in (10, 100, 1000) for seed in range(3)]
         elif family == "fig1":
             polys = [polytope_h_rep(example_fig1(0.9, 0.5))]
+        elif family == "near_one":
+            # a stochastic optimal policy puts an equality pair in every
+            # tangent cone, and rows reach 1/(1 - gamma)
+            polys = [poly for seed in range(6) for gamma in (0.99, 0.999)
+                     for poly in near_one_discount_polytopes(seed, gamma, list(ConstraintMode))]
         else:
             polys = cut_boxes(np.random.default_rng(8))
+        walked = 0
         for poly in polys:
-            assert_same_vertices(enumerate_vertices(poly), vertices_by_subsets(poly.G, poly.h))
+            want = vertices_by_subsets(poly.G, poly.h)
+            if len(want) == 0:
+                with pytest.raises(EmptyPolytopeError):
+                    enumerate_vertices(poly)
+                continue
+            assert_same_vertices(enumerate_vertices(poly), want)
+            walked += 1
+        assert walked >= len(polys) / 2
+
+    @staticmethod
+    def assert_cone_edges(G, h, vertex, want):
+        """The walk's far ends from `vertex` are the vertices `want`, and
+        the tangent cone there was cut by double description."""
+        cuts = []
+        refine = hausdorff_module._refine
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hausdorff_module, "_refine",
+                          lambda *args: cuts.append(1) or refine(*args))
+            ends = hausdorff_module._neighbours(G, h, vertex[None, :])
+        assert len(cuts) == 1
+        assert_same_vertices(ends, want)
+
+    def test_octahedron_edges(self):
+        # |x|_1 <= 1: each of the 6 vertices lies on 4 of the 8 rows in 3-D,
+        # so 3 of them make the simplicial cone and the fourth cuts it into
+        # a cone of 4 rays, one per edge
+        G = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        h = np.ones(len(G))
+        vertices = enumerate_vertices(RewardPolytope(1, 3, G, h, ("row",) * len(G)))
+        assert_same_vertices(vertices, np.vstack([np.eye(3), -np.eye(3)]))
+        for vertex in vertices:
+            assert np.count_nonzero(np.abs(G @ vertex - h) < 1e-12) == 4
+            self.assert_cone_edges(G, h, vertex, vertices[np.abs(vertices @ vertex) < 0.5])
+
+    def test_square_pyramid_apex(self):
+        # the apex (0, 0, 1) over the base [-1, 1]^2 lies on the 4 side rows
+        G = np.array([[0.0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]])
+        h = np.array([0.0, 1, 1, 1, 1])
+        base = np.array([[x, y, 0.0] for x in (-1, 1) for y in (-1, 1)])
+        vertices = enumerate_vertices(RewardPolytope(1, 3, G, h, ("row",) * 5))
+        assert_same_vertices(vertices, np.vstack([base, [0.0, 0, 1]]))
+        self.assert_cone_edges(G, h, np.array([0.0, 0, 1]), base)
 
     def test_tree_d10_mirror_pair(self):
         # beyond the subset oracle's reach: C(25, 10) = 3.3M subsets
@@ -747,6 +833,30 @@ class TestPrunedSupremum:
         violates_none = [np.all(poly.G @ point - poly.h <= 0.0) for point in points]
         assert np.array_equal(lower == 0.0, violates_none)
         assert np.any(lower > 0.0)
+
+    def test_bounds_match_loop_oracle(self):
+        # the same bytes as one point at a time: vertices of the d=10 tree
+        # pair (339 x 339 x 10 differences span many blocks), the d=6 sweep
+        # pairs, and d=20 support points
+        ta = polytope_h_rep(lb_tree(2, 2, 0.9, 0.1, (1, -1)))
+        tb = polytope_h_rep(lb_tree(2, 2, 0.9, 0.1, (-1, 1)))
+        va, vb = enumerate_vertices(ta), enumerate_vertices(tb)
+        assert va.size * len(vb) > hausdorff_module._BLOCK
+        cases = [(va, tb, vb), (vb, ta, va)]
+        for p1, p2 in sweep_d6_pairs()[::4]:
+            v1, v2 = enumerate_vertices(p1), enumerate_vertices(p2)
+            cases += [(v1, p2, v2), (v2, p1, v1)]
+        truth = random_problem(5, 4, 2, 0.9, seed=1)
+        p1 = polytope_h_rep(truth)
+        p2 = polytope_h_rep(us_irl_se(GenerativeModel(truth, 1), 100)[0])
+        s1 = sample_support_points(p1, 16, np.random.default_rng(0))
+        s2 = sample_support_points(p2, 16, np.random.default_rng(1))
+        cases += [(s1, p2, s2), (s2, p1, s1)]
+        for points, target, anchors in cases:
+            got = hausdorff_module._distance_bounds(points, target, anchors)
+            want = distance_bounds_loop(points, target, anchors)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -19,9 +19,25 @@ half-space of the target. Points are visited by decreasing U; the search
 stops at the first U at or below the best distance so far, a point that
 violates no row adds 0, and a point with L >= U is at distance U. On the
 d = 6 sweep pairs that leaves 4,069 of 8,709 LPs, with the same values.
+
+The LP core is one dense tableau per matrix (_Simplex). Pricing enters the
+most negative reduced cost and turns to Bland's rule after _BLAND_AFTER
+degenerate pivots in a row. LPs that share a matrix share the tableau and
+restart from the last optimal basis: the support LPs of one polytope differ
+only in their costs, so each continues the primal simplex from the last
+optimum, and the distance LPs to one target differ only in their
+right-hand side, so each runs a dual simplex from the last optimal basis.
+On the d = 20 lower-bound pairs that is about 30 pivots per LP, against
+about 68 with every LP cold under Bland's rule. A pivot needs LP_TOL
+relative to the largest entry of its column (or row, in the dual), so
+rounding left by earlier pivots is never divided by. Every optimum's
+basic values take one step of iterative refinement and are checked, with
+the duals, against the basis' original columns; every LP point is checked
+against its polytope row-relative.
 """
 from __future__ import annotations
 
+import contextvars
 import enum
 from dataclasses import dataclass
 
@@ -35,6 +51,10 @@ PHASE_ONE_TOL = 1e-7  # largest auxiliary s* read as feasible
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
 _BLOCK = 1 << 16  # elements of one (points, anchors, dim) difference block
+_BLAND_AFTER = 50  # degenerate pivots in a row before pricing turns to Bland's rule
+_PIVOT_CAP = 50_000  # pivots one simplex phase may make before it raises
+# [LPs solved, pivots made] within the running hausdorff_distance call
+_LP_TALLY: contextvars.ContextVar = contextvars.ContextVar("_LP_TALLY", default=None)
 
 
 class EmptyPolytopeError(ValueError):
@@ -89,84 +109,269 @@ def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, co
     factors[row] = 0.0
     # rows with a zero factor stay untouched, like the pivot row: subtracting
     # 0 * x could turn a -0.0 entry into +0.0 and change the sign of a zero in x
-    rows = np.flatnonzero(factors)
-    tableau[rows] -= np.outer(factors[rows], tableau[row])
+    rows = factors.nonzero()[0]
+    tableau[rows] -= factors[rows, None] * tableau[row]
     rhs[rows] -= factors[rows] * rhs[row]
     basis[row] = col
 
 
-def _simplex_phase(tableau, rhs, basis, costs):
-    """Bland's-rule simplex on a tableau already in basic feasible form.
+def _pivot_tol(line: np.ndarray) -> float:
+    """The smallest magnitude a tableau entry needs to be a pivot: LP_TOL,
+    relative to the largest entry of its column or row when that exceeds 1.
+    A smaller entry is rounding left by earlier pivots, and dividing by it
+    would blow the tableau up."""
+    return LP_TOL * max(1.0, float(np.abs(line).max()))
 
-    Returns ("optimal" | "unbounded", pivots made); mutates tableau/rhs/basis
-    in place.
+
+def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
+    """The primal ratio test: (row, ratio) of the smallest rhs / column over
+    the rows with column > _pivot_tol(column), or (-1, None) when there is
+    none. Within LP_TOL of the best so far, the smaller basis index wins
+    (Bland), applied in row order."""
+    eligible = (column > _pivot_tol(column)).nonzero()[0]
+    if eligible.size == 0:
+        return -1, None
+    ratios = rhs[eligible] / column[eligible]
+    best_ratio, leave = None, -1
+    for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+        if (best_ratio is None or ratio < best_ratio - LP_TOL
+                or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])):
+            best_ratio, leave = ratio, i
+    return leave, best_ratio
+
+
+class _Simplex:
+    """A dense simplex tableau for the LPs min c . x, G x <= h, x free, that
+    share one matrix G: columns x+ | x- | slacks, one row per row of G.
+
+    The first solve is cold: from the all-slack basis, after Chvatal's
+    auxiliary phase one when some bound is negative (see lp_solve). The
+    tableau is kept, and each later solve restarts from the last basis. The
+    slack columns hold B^-1, so a new h gives the basic values B^-1 h at
+    once. A basis that is optimal for the old costs stays dual feasible
+    under a new h, so a dual simplex restores primal feasibility (without a
+    dual feasible basis, one runs on zero costs as a phase one), and a
+    primal simplex then takes the new costs from the feasible basis.
+
+    Pricing enters the most negative reduced cost (the lowest index on a
+    tie); after _BLAND_AFTER degenerate pivots in a row it enters the first
+    improving column (Bland's rule) until a pivot makes progress. A phase
+    that reaches _PIVOT_CAP pivots raises RuntimeError.
+
+    Every optimum is checked against the basis' original columns: its basic
+    values take one step of iterative refinement, and they and the refined
+    duals must be feasible to LP_TOL. Rounding that grows over many warm
+    pivots fails that check; the tableau is then rebuilt from the basis
+    (one solve) and the simplex goes on from there.
     """
-    pivots = 0
-    while True:
-        cb = costs[basis]
-        reduced = costs - cb @ tableau
-        improving = np.flatnonzero(reduced < -LP_TOL)
-        if improving.size == 0:
-            return "optimal", pivots
-        entering = improving[0]
-        column = tableau[:, entering]
-        eligible = np.flatnonzero(column > LP_TOL)
-        if eligible.size == 0:
-            return "unbounded", pivots
-        ratios = rhs[eligible] / column[eligible]
-        # smallest ratio; within LP_TOL of the best so far, the smaller basis
-        # index wins (Bland), applied in row order
-        best_ratio, leave = None, -1
-        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
-            if (best_ratio is None or ratio < best_ratio - LP_TOL
-                    or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])):
-                best_ratio, leave = ratio, i
-        _pivot(tableau, rhs, basis, leave, entering)
-        pivots += 1
+
+    def __init__(self, G: np.ndarray):
+        self.G = G
+        self.tableau = None  # no basis until a solve reaches phase two
+        self.h = None
+        self.origin = None  # the phase-one point x0 the tableau is shifted to
+
+    def _start(self, b: np.ndarray):
+        """The all-slack basis, with basic values b >= 0."""
+        m, d = self.G.shape
+        self.columns = np.hstack([self.G, -self.G, np.eye(m)])
+        self.tableau = self.columns.copy()
+        self.b = b
+        self.rhs = b.copy()
+        self.basis = np.arange(2 * d, 2 * d + m)
+
+    def _costs(self, c: np.ndarray) -> np.ndarray:
+        return np.concatenate([c, -c, np.zeros(self.G.shape[0])])
+
+    def _point(self) -> np.ndarray:
+        """The basic solution in the tableau's own variables."""
+        d = self.G.shape[1]
+        full = np.zeros(self.tableau.shape[1])
+        full[self.basis] = self.rhs
+        return full[:d] - full[d:2 * d]
+
+    def _primal(self, costs: np.ndarray):
+        """Primal simplex from a primal feasible basis; returns
+        ("optimal" | "unbounded", pivots made)."""
+        tableau, rhs, basis = self.tableau, self.rhs, self.basis
+        pivots = streak = 0
+        while True:
+            reduced = costs - costs[basis] @ tableau
+            if streak < _BLAND_AFTER:
+                entering = int(reduced.argmin())
+                if reduced[entering] >= -LP_TOL:
+                    return "optimal", pivots
+            else:
+                improving = (reduced < -LP_TOL).nonzero()[0]
+                if improving.size == 0:
+                    return "optimal", pivots
+                entering = int(improving[0])
+            leave, ratio = _leaving_row(tableau[:, entering], rhs, basis)
+            if leave < 0:
+                return "unbounded", pivots
+            _check_cap(pivots)
+            _pivot(tableau, rhs, basis, leave, entering)
+            pivots += 1
+            streak = streak + 1 if ratio <= LP_TOL else 0
+
+    def _dual(self, costs: np.ndarray):
+        """Dual simplex from a dual feasible basis; returns
+        ("feasible" | "infeasible", pivots made).
+
+        The row with the most negative basic value leaves (after
+        _BLAND_AFTER degenerate pivots in a row, the one with the lowest
+        basic index). The entering column passes Harris' ratio test over
+        the row's entries below -_pivot_tol(row): of the columns whose ratio
+        reduced cost / -entry is within the smallest step that keeps every
+        reduced cost above -LP_TOL, the one with the largest entry (the
+        lowest index under Bland's rule), so a rounding-level entry is not
+        taken as a pivot while a sound one ties with it."""
+        tableau, rhs, basis = self.tableau, self.rhs, self.basis
+        pivots = streak = 0
+        while True:
+            bland = streak >= _BLAND_AFTER
+            if bland:
+                short = (rhs < -LP_TOL).nonzero()[0]
+                if short.size == 0:
+                    return "feasible", pivots
+                row = int(short[basis[short].argmin()])
+            else:
+                row = int(rhs.argmin())
+                if rhs[row] >= -LP_TOL:
+                    return "feasible", pivots
+            line = tableau[row]
+            eligible = (line < -_pivot_tol(line)).nonzero()[0]
+            if eligible.size == 0:
+                return "infeasible", pivots
+            reduced = (costs - costs[basis] @ tableau)[eligible]
+            size = -line[eligible]
+            ratios = reduced / size
+            fits = (ratios <= ((reduced + LP_TOL) / size).min()).nonzero()[0]
+            pick = fits[0] if bland else fits[size[fits].argmax()]
+            _check_cap(pivots)
+            _pivot(tableau, rhs, basis, row, int(eligible[pick]))
+            pivots += 1
+            streak = streak + 1 if ratios[pick] <= LP_TOL else 0
+
+    def _restart(self, costs: np.ndarray):
+        """Dual, then primal simplex from the current basis; returns
+        (status, phase-one pivots, phase-two pivots). The dual runs on the
+        costs when the basis is dual feasible for them, else on zero costs
+        as a phase one."""
+        one = two = 0
+        if self.rhs.min(initial=0.0) < -LP_TOL:
+            reduced = costs - costs[self.basis] @ self.tableau
+            if reduced.min() >= -LP_TOL:
+                status, two = self._dual(costs)
+            else:
+                status, one = self._dual(np.zeros_like(costs))
+            if status == "infeasible":
+                return status, one, two
+        status, primal = self._primal(costs)
+        return status, one, two + primal
+
+    def _settled(self, costs: np.ndarray) -> bool:
+        """Refine the basic values once against the basis' original columns
+        (B^-1 from the slack columns times the residual), and tell whether
+        they and the once-refined duals are feasible to LP_TOL."""
+        binv = self.tableau[:, -self.G.shape[0]:]
+        basis_columns = self.columns[:, self.basis]
+        residual = self.b - basis_columns @ self.rhs
+        self.rhs = self.rhs + binv @ residual
+        cb = costs[self.basis]
+        duals = cb @ binv
+        duals = duals + (cb - duals @ basis_columns) @ binv
+        return bool(self.rhs.min(initial=0.0) >= -LP_TOL
+                    and (costs - duals @ self.columns).min() >= -LP_TOL)
+
+    def _refactor(self):
+        """Rebuild the tableau and the basic values from the basis' original
+        columns."""
+        basis_columns = self.columns[:, self.basis]
+        try:
+            self.tableau = np.linalg.solve(basis_columns, self.columns)
+            self.rhs = np.linalg.solve(basis_columns, self.b)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("the simplex basis became singular") from exc
+
+    def _cold(self, costs: np.ndarray, h: np.ndarray):
+        """Phase one (when some bound is negative) and phase two from the
+        all-slack basis; returns (status, phase-one, phase-two pivots)."""
+        G = self.G
+        m, d = G.shape
+        lift = float(np.max(-h, initial=0.0))
+        phase_one = 0
+        if lift == 0.0:
+            self._start(h)
+            self.origin = None
+        else:
+            # rows G x - s' <= h + lift and -s' <= lift, cost s'
+            aux = _Simplex(np.block([[G, -np.ones((m, 1))], [np.zeros((1, d)), -np.ones((1, 1))]]))
+            aux._start(np.append(h + lift, lift))
+            _, phase_one = aux._primal(aux._costs(np.append(np.zeros(d), 1.0)))
+            point = aux._point()
+            if point[d] + lift > PHASE_ONE_TOL:
+                return "infeasible", phase_one, 0
+            self.origin = point[:d]
+            self._start(np.maximum(h - G @ self.origin, 0.0))
+        self.h = h
+        status, phase_two = self._primal(costs)
+        return status, phase_one, phase_two
+
+    def solve(self, c: np.ndarray, h: np.ndarray) -> LpResult:
+        """min c . x subject to G x <= h, x free; cold on the first call
+        (and after an infeasible cold one), warm from the last basis after
+        it. Pivots are counted as (phase one, phase two): a warm solve's
+        dual pivots count as phase two when they start from a dual feasible
+        basis, and as phase one when they run on zero costs."""
+        costs = self._costs(c)
+        warm = self.tableau is not None
+        if warm:
+            if h is not self.h and not np.array_equal(h, self.h):
+                self.b = h if self.origin is None else h - self.G @ self.origin
+                self.rhs = self.tableau[:, -self.G.shape[0]:] @ self.b
+                self.h = h
+            status, one, two = self._restart(costs)
+        else:
+            status, one, two = self._cold(costs, h)
+        if self.tableau is not None and (
+                (status == "optimal" and not self._settled(costs))
+                or (warm and status != "optimal")):
+            # rounding has built up in the tableau (or a warm phase ended
+            # short of an optimum): rebuild it from the basis and go on
+            self._refactor()
+            status, more_one, more_two = self._restart(costs)
+            one, two = one + more_one, two + more_two
+            if status == "optimal" and not self._settled(costs):
+                raise RuntimeError("the simplex optimum fails its check after refactoring")
+        result = self._result(status, c, (one, two))
+        tally = _LP_TALLY.get()
+        if tally is not None:
+            tally[0] += 1
+            tally[1] += one + two
+        return result
+
+    def _result(self, status: str, c: np.ndarray, pivots) -> LpResult:
+        if status != "optimal":
+            return LpResult(status, None, None, pivots)
+        x = self._point() if self.origin is None else self.origin + self._point()
+        return LpResult("optimal", float(c @ x), x, pivots)
 
 
-def _simplex_from_origin(c, G, b):
-    """min c . x subject to G x <= b >= 0, x free: columns x+ | x- | slacks,
-    from the all-slack basis. Returns (status, last basic x, pivots)."""
-    m, d = G.shape
-    tableau = np.hstack([G, -G, np.eye(m)])
-    rhs = b.copy()
-    basis = np.arange(2 * d, 2 * d + m)
-    costs = np.concatenate([c, -c, np.zeros(m)])
-    status, pivots = _simplex_phase(tableau, rhs, basis, costs)
-    full = np.zeros(2 * d + m)
-    full[basis] = rhs
-    return status, full[:d] - full[d:2 * d], pivots
+def _check_cap(pivots: int):
+    if pivots >= _PIVOT_CAP:
+        raise RuntimeError(f"simplex phase reached {_PIVOT_CAP} pivots without an optimum")
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Dense simplex with Bland's rule; both phases start at an origin.
+    """Dense simplex, cold: both phases start at an origin.
 
     With h >= 0 the origin is feasible. Otherwise phase one is Chvatal's
     auxiliary LP min s, G x - s <= h, s >= 0, in (x, s - lift) for
     lift = -min h; it is infeasible when s* > PHASE_ONE_TOL, and phase two
     runs on G y <= max(h - G x0, 0), x = x0 + y. Pivots are counted per phase.
     """
-    G, h, c = lp.G, lp.h, lp.c
-    m, d = G.shape
-    lift = float(np.max(-h, initial=0.0))
-    if lift == 0.0:
-        status, x, phase_two = _simplex_from_origin(c, G, h)
-        pivots = (0, phase_two)
-    else:
-        # rows G x - s' <= h + lift and -s' <= lift, cost s'
-        aux_G = np.block([[G, -np.ones((m, 1))], [np.zeros((1, d)), -np.ones((1, 1))]])
-        aux_c = np.append(np.zeros(d), 1.0)
-        _, aux, phase_one = _simplex_from_origin(aux_c, aux_G, np.append(h + lift, lift))
-        if aux[d] + lift > PHASE_ONE_TOL:
-            return LpResult("infeasible", None, None, (phase_one, 0))
-        x0 = aux[:d]
-        status, y, phase_two = _simplex_from_origin(c, G, np.maximum(h - G @ x0, 0.0))
-        x = x0 + y
-        pivots = (phase_one, phase_two)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None, pivots)
-    return LpResult("optimal", float(c @ x), x, pivots)
+    return _Simplex(lp.G).solve(lp.c, lp.h)
 
 
 def _slack(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -179,6 +384,19 @@ def _slack(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.maximum(slack, 0.0)
 
 
+def _check_optimum(polytope: RewardPolytope, point: np.ndarray, what: str):
+    """Raise InfeasiblePointError when an LP optimum violates a row of the
+    polytope by more than FEAS_TOL times that row's largest entry (entries
+    reach 1/(1 - gamma)). A zero row does not depend on the point."""
+    G, h = polytope.G, polytope.h
+    scale = np.max(np.abs(G), axis=1)
+    excess = np.divide(G @ point - h, scale, out=np.zeros_like(h), where=scale > 0.0)
+    if np.any(excess > FEAS_TOL):
+        raise InfeasiblePointError(
+            f"{what} violates a polytope row by {float(np.max(excess)):.3g}"
+            " of its largest entry")
+
+
 def _feasible_point(polytope: RewardPolytope) -> np.ndarray:
     """A point of the polytope from one zero-cost LP; EmptyPolytopeError
     when it has none."""
@@ -188,9 +406,40 @@ def _feasible_point(polytope: RewardPolytope) -> np.ndarray:
     return res.x
 
 
+def _distance_simplex(polytope: RewardPolytope) -> _Simplex:
+    """The tableau of every distance LP to the polytope: rows
+    [G 0; I -1; -I -1] in (r, t), each LP its own right-hand side."""
+    d = polytope.dim
+    eye, ones = np.eye(d), np.ones((d, 1))
+    return _Simplex(np.vstack([
+        np.hstack([polytope.G, np.zeros((polytope.G.shape[0], 1))]),
+        np.hstack([eye, -ones]),
+        np.hstack([-eye, -ones]),
+    ]))
+
+
+def _distance(simplex: _Simplex, polytope: RewardPolytope, vec: np.ndarray,
+              anchor: np.ndarray) -> float:
+    """The distance LP from vec to the polytope on `simplex` (the polytope's
+    _distance_simplex), shifted to the point (anchor, max|vec - anchor|)."""
+    offset = vec - anchor
+    reach = float(np.max(np.abs(offset)))  # T
+    big_h = np.concatenate([_slack(polytope.G, polytope.h, anchor),
+                            reach + offset, reach - offset])
+    c = np.zeros(polytope.dim + 1)
+    c[-1] = 1.0
+    res = simplex.solve(c, big_h)
+    if res.status != "optimal":  # cannot happen: the origin is feasible and t >= 0
+        raise RuntimeError(f"unexpected LP status {res.status}")
+    # a zero row does not depend on the point, and the anchor's check covers it
+    _check_optimum(polytope, anchor + res.x[:-1], "distance LP optimum")
+    value = reach + res.value
+    return 0.0 if value < LP_TOL else float(value)
+
+
 def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
-    """inf over the polytope of the infinity-norm distance to r0, as one LP
-    in dim + 1 variables.
+    """inf over the polytope of the infinity-norm distance to r0, as one
+    cold LP in dim + 1 variables.
 
     The LP is written in (r - p, t - T) for a point p of the polytope and
     T = max|r0 - p|. Its origin (p, T) is feasible with every slack basic,
@@ -205,38 +454,12 @@ def directed_distance(r0, polytope: RewardPolytope, inside=None) -> float:
     d = polytope.dim
     if vec.shape != (d,):
         raise ValueError("point dimension does not match polytope")
-    G, h = polytope.G, polytope.h
     if inside is None:
         inside = _feasible_point(polytope)
     anchor = np.asarray(inside, dtype=float).reshape(-1)
     if anchor.shape != (d,):
         raise ValueError("inside point dimension does not match polytope")
-    offset = vec - anchor
-    reach = float(np.max(np.abs(offset)))  # T
-    eye = np.eye(d)
-    ones = np.ones((d, 1))
-    big_G = np.vstack([
-        np.hstack([G, np.zeros((G.shape[0], 1))]),
-        np.hstack([eye, -ones]),
-        np.hstack([-eye, -ones]),
-    ])
-    big_h = np.concatenate([_slack(G, h, anchor), reach + offset, reach - offset])
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    res = lp_solve(LinearProgram(c, big_G, big_h))
-    if res.status != "optimal":  # cannot happen: the origin is feasible and t >= 0
-        raise RuntimeError(f"unexpected LP status {res.status}")
-    # row-relative: entries reach 1/(1 - gamma); a zero row does not depend
-    # on the point, and the anchor's check covers it
-    scale = np.max(np.abs(G), axis=1)
-    excess = np.divide(G @ (anchor + res.x[:d]) - h, scale, out=np.zeros_like(h),
-                       where=scale > 0.0)
-    if np.any(excess > FEAS_TOL):
-        raise InfeasiblePointError(
-            f"distance LP optimum violates a polytope row by {float(np.max(excess)):.3g}"
-            " of its largest entry")
-    value = reach + res.value
-    return 0.0 if value < LP_TOL else float(value)
+    return _distance(_distance_simplex(polytope), polytope, vec, anchor)
 
 
 def _vertex_from(G: np.ndarray, h: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -438,16 +661,22 @@ def sample_support_points(polytope: RewardPolytope, budget: int,
 
     Directions are drawn sequentially, so a larger budget extends (never
     replaces) the set found with a smaller one under the same generator seed.
+    The LPs share (G, h), so one tableau serves them all: the first is
+    solved cold (with a phase one where some bound is negative), and each
+    later one replaces the costs and continues from the last optimum, which
+    is still feasible. An optimum that violates a row by more than FEAS_TOL
+    times that row's largest entry raises InfeasiblePointError.
     """
     d = polytope.dim
+    simplex = _Simplex(polytope.G)
     points = []
     for _ in range(budget):
         direction = rng.standard_normal(d)
-        res = lp_solve(LinearProgram(-direction, polytope.G, polytope.h))
+        res = simplex.solve(-direction, polytope.h)
         if res.status == "infeasible":
             raise EmptyPolytopeError("polytope is empty")
         if res.status == "optimal":
-            _slack(polytope.G, polytope.h, res.x)  # raises on an optimum outside
+            _check_optimum(polytope, res.x, "support point")
             points.append(res.x)
     return np.array(points).reshape(len(points), d)
 
@@ -462,6 +691,8 @@ class HausdorffReport:
     value: float
     mode: HausdorffMode
     directed: tuple  # (sup over P1 side, sup over P2 side)
+    lps: int = 0  # LPs solved: feasibility, support and distance
+    pivots: int = 0  # their simplex pivots, cold and warm
 
 
 def _distance_bounds(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray):
@@ -493,9 +724,12 @@ def _directed_sup(points: np.ndarray, target: RewardPolytope, anchors: np.ndarra
     Points are visited by decreasing U (stable order). The first with
     U <= the best so far ends the search: no later point can raise it. A
     point with L = 0 violates no row, lies in `target` and adds 0; a point
-    with L >= U is at distance U. Any other point gets one LP, started at
-    its nearest anchor, so its T is U."""
+    with L >= U is at distance U. Any other point gets one LP, shifted to
+    its nearest anchor, so its T is U. The LPs share the target's
+    _distance_simplex and its costs, so each after the first restarts from
+    the last optimal basis by a dual simplex on its own right-hand side."""
     lower, upper, nearest = _distance_bounds(points, target, anchors)
+    simplex = _distance_simplex(target)
     best = 0.0
     for i in np.argsort(-upper, kind="stable"):
         if upper[i] <= best:
@@ -505,7 +739,7 @@ def _directed_sup(points: np.ndarray, target: RewardPolytope, anchors: np.ndarra
         if lower[i] >= upper[i]:
             best = float(upper[i])
         else:
-            best = max(best, directed_distance(points[i], target, inside=anchors[nearest[i]]))
+            best = max(best, _distance(simplex, target, points[i], anchors[nearest[i]]))
     return best
 
 
@@ -521,30 +755,36 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
     else ValueError) seeded random-objective support points per polytope
     and returns a certified lower bound that is non-decreasing in the
     budget. Every distance LP from one side's points to the other polytope
-    starts at the nearest of that polytope's own vertices or support
-    points, so none of them runs a phase one. Both modes prune the LPs the
+    is shifted to the nearest of that polytope's own vertices or support
+    points, so none of them runs a phase one, and the LPs to one polytope
+    share one tableau (_directed_sup). Both modes prune the LPs the
     same way: a point is skipped when its upper bound (distance to that
     nearest point) is at most the best distance found so far, adds 0 when it
     violates no row, and reads its upper bound when its lower bound
-    max over rows of (g . v - h)+ / ||g||_1 reaches it.
+    max over rows of (g . v - h)+ / ||g||_1 reaches it. The report counts
+    the LPs the call solved and their pivots.
     """
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
-    if mode is HausdorffMode.EXACT:
-        # one LP per polytope finds an empty set before either walk starts,
-        # and its point is where that polytope's walk starts
-        inside1, inside2 = _feasible_point(p1), _feasible_point(p2)
-        pts1 = enumerate_vertices(p1, inside=inside1)
-        pts2 = enumerate_vertices(p2, inside=inside2)
-    else:
-        if budget < 1:
-            raise ValueError(f"budget must be at least 1, got {budget}")
-        rng1 = np.random.default_rng(seed)
-        rng2 = np.random.default_rng(seed + 1)
-        pts1 = sample_support_points(p1, budget, rng1)
-        pts2 = sample_support_points(p2, budget, rng2)
-    if pts1.shape[0] == 0 or pts2.shape[0] == 0:
-        raise EmptyPolytopeError("polytope has no feasible points")
-    d12 = _directed_sup(pts1, p2, pts2)
-    d21 = _directed_sup(pts2, p1, pts1)
-    return HausdorffReport(float(max(d12, d21)), mode, (float(d12), float(d21)))
+    if mode is not HausdorffMode.EXACT and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    tally = [0, 0]
+    token = _LP_TALLY.set(tally)
+    try:
+        if mode is HausdorffMode.EXACT:
+            # one LP per polytope finds an empty set before either walk
+            # starts, and its point is where that polytope's walk starts
+            inside1, inside2 = _feasible_point(p1), _feasible_point(p2)
+            pts1 = enumerate_vertices(p1, inside=inside1)
+            pts2 = enumerate_vertices(p2, inside=inside2)
+        else:
+            pts1 = sample_support_points(p1, budget, np.random.default_rng(seed))
+            pts2 = sample_support_points(p2, budget, np.random.default_rng(seed + 1))
+        if pts1.shape[0] == 0 or pts2.shape[0] == 0:
+            raise EmptyPolytopeError("polytope has no feasible points")
+        d12 = _directed_sup(pts1, p2, pts2)
+        d21 = _directed_sup(pts2, p1, pts1)
+    finally:
+        _LP_TALLY.reset(token)
+    return HausdorffReport(float(max(d12, d21)), mode, (float(d12), float(d21)),
+                           lps=tally[0], pivots=tally[1])

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from irlse import hausdorff
 from irlse.feasible import (
     COEF_CLEAN_TOL,
     DEFAULT_TOL,
@@ -263,26 +264,36 @@ def _pivot_loop(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: in
 
 
 def _simplex_phase_loop(tableau, rhs, basis, costs):
-    """Bland's-rule simplex on a tableau already in basic feasible form.
+    """The simplex on a tableau already in basic feasible form: the most
+    negative reduced cost enters (the first on a tie), and after
+    hausdorff._BLAND_AFTER degenerate pivots in a row the first improving
+    column does (Bland's rule) until a pivot makes progress.
 
     Returns ("optimal" | "unbounded", pivots made); mutates tableau/rhs/basis
     in place.
     """
     m = tableau.shape[0]
-    pivots = 0
+    pivots = streak = 0
     while True:
         cb = costs[basis]
         reduced = costs - cb @ tableau
         entering = -1
         for j in range(tableau.shape[1]):
             if reduced[j] < -LP_TOL:
-                entering = j
-                break
+                if streak >= hausdorff._BLAND_AFTER:
+                    entering = j
+                    break
+                if entering < 0 or reduced[j] < reduced[entering]:
+                    entering = j
         if entering < 0:
             return "optimal", pivots
+        # a pivot needs LP_TOL relative to the column's largest entry above 1
+        largest = 1.0
+        for i in range(m):
+            largest = max(largest, abs(tableau[i, entering]))
         best_ratio, leave = None, -1
         for i in range(m):
-            if tableau[i, entering] > LP_TOL:
+            if tableau[i, entering] > LP_TOL * largest:
                 ratio = rhs[i] / tableau[i, entering]
                 if (best_ratio is None or ratio < best_ratio - LP_TOL
                         or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])):
@@ -291,11 +302,13 @@ def _simplex_phase_loop(tableau, rhs, basis, costs):
             return "unbounded", pivots
         _pivot_loop(tableau, rhs, basis, leave, entering)
         pivots += 1
+        streak = streak + 1 if best_ratio <= LP_TOL else 0
 
 
-def _simplex_from_origin_loop(c, G, b):
+def _simplex_from_origin_loop(c, G, b, refine=False):
     """min c . x subject to G x <= b >= 0 from the all-slack basis, built
-    and read back one entry at a time."""
+    and read back one entry at a time; with `refine`, an optimal basis'
+    values take lp_solve's phase-two refinement step."""
     m, d = G.shape
     tableau = np.zeros((m, 2 * d + m))
     costs = np.zeros(2 * d + m)
@@ -309,8 +322,12 @@ def _simplex_from_origin_loop(c, G, b):
     for j in range(d):
         costs[j] = c[j]
         costs[d + j] = -c[j]
+    columns = tableau.copy()
     rhs = b.copy()
     status, pivots = _simplex_phase_loop(tableau, rhs, basis, costs)
+    if refine and status == "optimal":
+        residual = b - columns[:, basis] @ rhs
+        rhs = rhs + tableau[:, 2 * d:] @ residual
     full = np.zeros(2 * d + m)
     for i in range(m):
         full[basis[i]] = rhs[i]
@@ -328,7 +345,7 @@ def lp_solve_loop(lp: LinearProgram) -> LpResult:
     for bound in h:
         lift = max(lift, -bound)
     if lift == 0.0:
-        status, x, phase_two = _simplex_from_origin_loop(c, G, h)
+        status, x, phase_two = _simplex_from_origin_loop(c, G, h, refine=True)
         pivots = (0, phase_two)
     else:
         aux_G = np.zeros((m + 1, d + 1))
@@ -341,7 +358,7 @@ def lp_solve_loop(lp: LinearProgram) -> LpResult:
             return LpResult("infeasible", None, None, (phase_one, 0))
         x0 = aux[:d]
         status, y, phase_two = _simplex_from_origin_loop(
-            c, G, np.maximum(h - G @ x0, 0.0))
+            c, G, np.maximum(h - G @ x0, 0.0), refine=True)
         x = x0 + y
         pivots = (phase_one, phase_two)
     if status == "unbounded":

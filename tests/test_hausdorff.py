@@ -1,4 +1,5 @@
 """LP core, vertex enumeration, and Hausdorff distances."""
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from irlse import (
     EmptyPolytopeError,
     GenerativeModel,
     HausdorffMode,
+    HausdorffReport,
     InfeasiblePointError,
     LinearProgram,
     LpResult,
@@ -208,23 +210,33 @@ def near_one_discount_polytopes(seed, gamma, modes):
 
 
 def solved_lps(call, *args, **kwargs):
-    """Every LP `call(*args, **kwargs)` solves, in call order, and its result."""
-    lps = []
+    """Every LP `call(*args, **kwargs)` solves, cold or warm, in call order,
+    as (LinearProgram, the LpResult the tableau gave), and the call's
+    result."""
+    solves = []
+    solve = hausdorff_module._Simplex.solve
 
-    def recording(lp):
-        lps.append(lp)
-        return lp_solve(lp)
+    def recording(simplex, c, h):
+        res = solve(simplex, c, h)
+        solves.append((LinearProgram(c, simplex.G, h), res))
+        return res
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hausdorff_module, "lp_solve", recording)
+        patch.setattr(hausdorff_module._Simplex, "solve", recording)
         result = call(*args, **kwargs)
-    return lps, result
+    return solves, result
 
 
 def distance_lps(p1, p2, mode, budget=4):
     """Every LP one Hausdorff call solves, in call order."""
-    lps, _ = solved_lps(hausdorff_distance, p1, p2, mode=mode, budget=budget, seed=3)
-    return lps
+    solves, _ = solved_lps(hausdorff_distance, p1, p2, mode=mode, budget=budget, seed=3)
+    return [lp for lp, _ in solves]
+
+
+def inject_optimum(patch, x):
+    """Make every tableau solve return `x` as its optimum."""
+    patch.setattr(hausdorff_module._Simplex, "solve",
+                  lambda simplex, c, h: LpResult("optimal", 0.0, np.asarray(x, dtype=float)))
 
 
 class TestVectorisedSimplex:
@@ -427,11 +439,12 @@ class TestDirectedDistance:
         # a point outside by less than FEAS_TOL counts as a point of the set;
         # its negative slack is read as 0, so the LP needs no phase one
         box = box_polytope([0, 0], [1, 1])
-        lps, dist = solved_lps(directed_distance, np.array([2.0, 0.5]), box,
-                               inside=np.array([1.0 + 1e-12, 0.5]))
-        assert len(lps) == 1
+        solves, dist = solved_lps(directed_distance, np.array([2.0, 0.5]), box,
+                                  inside=np.array([1.0 + 1e-12, 0.5]))
+        assert len(solves) == 1
         assert dist == pytest.approx(1.0, abs=1e-9)
-        assert np.all(lps[0].h >= 0.0) and lp_solve(lps[0]).pivots[0] == 0
+        (lp, res), = solves
+        assert np.all(lp.h >= 0.0) and res.pivots[0] == 0
 
     @pytest.mark.parametrize("step,raises", [(5e-9, False), (2e-8, True)])
     def test_optimum_outside_raises(self, monkeypatch, step, raises):
@@ -440,8 +453,7 @@ class TestDirectedDistance:
         # 2e-8 outside raises
         poly = RewardPolytope(1, 2, np.array([[1000.0, 0], [-1, 0], [0, 1], [0, -1]]),
                               np.array([1000.0, 0, 1, 0]), ("row",) * 4)
-        monkeypatch.setattr(hausdorff_module, "lp_solve",
-                            lambda lp: LpResult("optimal", 0.0, np.array([step, 0.0, 0.0])))
+        inject_optimum(monkeypatch, [step, 0.0, 0.0])
         point, inside = np.array([2.0, 0.5]), np.array([1.0, 0.5])
         if raises:
             with pytest.raises(InfeasiblePointError):
@@ -454,20 +466,21 @@ class TestDirectedDistance:
            modes=st.tuples(st.sampled_from(list(ConstraintMode)),
                            st.sampled_from(list(ConstraintMode))))
     def test_distance_lp_points_lie_in_polytope(self, seed, gamma, modes):
-        # rows reach 1/(1 - gamma): every distance-LP point anchor + y
-        # violates no row by more than FEAS_TOL of its largest entry
+        # rows reach 1/(1 - gamma): every distance-LP point anchor + y,
+        # cold or warm, violates no row by more than FEAS_TOL of its largest
+        # entry
         p1, p2 = near_one_discount_polytopes(seed, gamma, modes)
         if highs_is_empty(p1.G, p1.h) or highs_is_empty(p2.G, p2.h):
             return
-        lps, _ = solved_lps(hausdorff_distance, p1, p2)
+        solves, _ = solved_lps(hausdorff_distance, p1, p2)
         d = p1.dim
-        for lp in lps:
+        for lp, res in solves:
             if lp.G.shape[1] != d + 1:
                 continue
             # the first rows are the polytope's, with h - G anchor as bounds
             m = lp.G.shape[0] - 2 * d
             rows, bounds = lp.G[:m, :d], lp.h[:m]
-            y = lp_solve(lp).x[:d]
+            y = res.x[:d]
             scale = np.max(np.abs(rows), axis=1)
             assert np.all(rows @ y - bounds <= hausdorff_module.FEAS_TOL * scale)
 
@@ -478,14 +491,16 @@ class TestDirectedDistance:
     def test_distance_lps_skip_phase_one(self, shape, seed, mode):
         truth = random_problem(*shape, 0.9, seed=seed)
         empirical, _ = us_irl_se(GenerativeModel(truth, seed), 100)
-        lps = distance_lps(polytope_h_rep(truth), polytope_h_rep(empirical), mode)
-        distance = [lp for lp in lps if lp.G.shape[1] == truth.dim + 1]
+        solves, _ = solved_lps(hausdorff_distance, polytope_h_rep(truth),
+                               polytope_h_rep(empirical), mode=mode, budget=4, seed=3)
+        distance = [(lp, res) for lp, res in solves if lp.G.shape[1] == truth.dim + 1]
         assert len(distance) >= 8
-        assert all(np.all(lp.h >= 0.0) for lp in distance)
-        assert all(lp_solve(lp).pivots[0] == 0 for lp in distance)
+        assert all(np.all(lp.h >= 0.0) for lp, _ in distance)
+        # warm solves too: their dual pivots start from a dual feasible basis
+        assert all(res.pivots[0] == 0 for _, res in distance)
         if mode is HausdorffMode.EXACT:
             # plus one feasibility LP per polytope
-            assert len(lps) == len(distance) + 2
+            assert len(solves) == len(distance) + 2
 
 
 class TestVertexEnumeration:
@@ -706,10 +721,22 @@ class TestHausdorff:
 
     def test_support_optimum_outside_raises(self, monkeypatch):
         poly = box_polytope([0, 0], [1, 1])
-        monkeypatch.setattr(hausdorff_module, "lp_solve",
-                            lambda lp: LpResult("optimal", 0.0, np.array([1.5, 0.5])))
+        inject_optimum(monkeypatch, [1.5, 0.5])
         with pytest.raises(InfeasiblePointError):
             sample_support_points(poly, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("step,raises", [(5e-9, False), (2e-8, True)])
+    def test_support_optimum_outside_is_row_relative(self, monkeypatch, step, raises):
+        # x <= 1 written as 1000 x <= 1000, as for the distance LPs: a support
+        # point 5e-9 outside passes and one 2e-8 outside raises
+        poly = RewardPolytope(1, 2, np.array([[1000.0, 0], [-1, 0], [0, 1], [0, -1]]),
+                              np.array([1000.0, 0, 1, 0]), ("row",) * 4)
+        inject_optimum(monkeypatch, [1.0 + step, 0.5])
+        if raises:
+            with pytest.raises(InfeasiblePointError):
+                sample_support_points(poly, 2, np.random.default_rng(0))
+        else:
+            assert sample_support_points(poly, 2, np.random.default_rng(0)).shape == (2, 2)
 
     def test_sampled_points_prefix_property(self):
         poly = polytope_h_rep(example_fig1(0.9, 0.5))
@@ -791,17 +818,14 @@ class TestPrunedSupremum:
         assert got == pytest.approx(directed_sup_loop(points, padded, origin), abs=1e-12)
         assert got == pytest.approx(0.5, abs=1e-12)
 
-    def test_skips_most_lps(self, monkeypatch):
+    def test_skips_most_lps(self):
         # the d=6 sweep truth against its m=100 estimate: at most 60 % of
         # the vertices of both sides get a distance LP
         truth = random_problem(3, 2, 1, 0.9, seed=0)
         p1 = polytope_h_rep(truth)
         p2 = polytope_h_rep(us_irl_se(GenerativeModel(truth, 0), 100)[0])
-        calls = []
-        solve = hausdorff_module.directed_distance
-        monkeypatch.setattr(hausdorff_module, "directed_distance",
-                            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
-        hausdorff_distance(p1, p2)
+        solves, _ = solved_lps(hausdorff_distance, p1, p2)
+        calls = [lp for lp, _ in solves if lp.G.shape[1] == p1.dim + 1]
         vertices = len(enumerate_vertices(p1)) + len(enumerate_vertices(p2))
         assert 0 < len(calls) <= 0.6 * vertices
 
@@ -872,3 +896,188 @@ class TestPrunedSupremum:
         (poly,) = near_one_discount_polytopes(2969, 0.999, (ConstraintMode.UPPER,))
         assert np.max(np.abs(poly.G)) > 100.0
         self.assert_bounds_hold(poly, np.random.default_rng(0))
+
+
+def lower_d20_pairs():
+    """The d=20 truth against its plug-in estimates at m = 100, 1000, 10000
+    (model seed 1): the lower-bound benchmark pairs."""
+    truth = random_problem(5, 4, 2, 0.9, seed=1)
+    p1 = polytope_h_rep(truth)
+    return [(p1, polytope_h_rep(us_irl_se(GenerativeModel(truth, 1), m)[0]))
+            for m in (100, 1000, 10000)]
+
+
+class TestWarmStarts:
+    @pytest.mark.parametrize("after", [0, 1, 3])
+    def test_bland_fallback_matches_loop_oracle(self, monkeypatch, after):
+        # pricing turns to Bland's rule after `after` degenerate pivots in a
+        # row; the loop oracle reads the same constant
+        monkeypatch.setattr(hausdorff_module, "_BLAND_AFTER", after)
+        rng = np.random.default_rng(12)
+        lps = [random_bounded_lp(rng, int(rng.integers(1, 9))) for _ in range(40)]
+        for lp in lps + list(itertools.islice(small_integer_lps(), 600)):
+            assert_same_solve(lp)
+
+    def test_fallback_changes_the_pivots(self, monkeypatch):
+        # the d=20 support LPs are degenerate enough that Bland's rule from
+        # the first degenerate pivot on takes other pivots, to the same optimum
+        (p1, _), = lower_d20_pairs()[:1]
+        directions = np.random.default_rng(0).standard_normal((4, p1.dim))
+        lps = [LinearProgram(-u, p1.G, p1.h) for u in directions]
+        default = [lp_solve(lp) for lp in lps]
+        monkeypatch.setattr(hausdorff_module, "_BLAND_AFTER", 0)
+        bland = [lp_solve(lp) for lp in lps]
+        assert [r.pivots for r in default] != [r.pivots for r in bland]
+        for a, b in zip(default, bland):
+            assert a.value == pytest.approx(b.value, abs=1e-12)
+
+    def test_resolves_match_cold_solves(self):
+        # one tableau per small-integer matrix, re-solved under new costs,
+        # new bounds or both: each LP gets its cold status and value, and
+        # no phase reaches the pivot cap
+        rng = np.random.default_rng(9)
+        solves = 0
+        for lp in itertools.islice(small_integer_lps(), 0, 2000, 40):
+            simplex = hausdorff_module._Simplex(lp.G)
+            c, h = lp.c, lp.h
+            for step in range(6):
+                if step % 3 != 1:
+                    c = rng.integers(-1, 2, size=c.shape).astype(float)
+                if step % 3 != 0:
+                    h = rng.integers(-1, 2, size=h.shape).astype(float)
+                got, want = simplex.solve(c, h), lp_solve(LinearProgram(c, lp.G, h))
+                assert got.status == want.status
+                if want.status == "optimal":
+                    assert got.value == pytest.approx(want.value, abs=1e-9)
+                    assert np.all(lp.G @ got.x <= h + 1e-9)
+                assert sum(got.pivots) <= 20
+                solves += 1
+        assert solves >= 200
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        # min x + y over [-1, 1]^2 takes two pivots cold; moving the box
+        # takes dual pivots warm
+        G = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+        simplex = hausdorff_module._Simplex(G)
+        assert simplex.solve(np.ones(2), np.ones(4)).pivots == (0, 2)
+        monkeypatch.setattr(hausdorff_module, "_PIVOT_CAP", 1)
+        with pytest.raises(RuntimeError, match="pivots"):
+            lp_solve(LinearProgram(np.ones(2), G, np.ones(4)))
+        monkeypatch.setattr(hausdorff_module, "_PIVOT_CAP", 0)
+        with pytest.raises(RuntimeError, match="pivots"):
+            simplex.solve(np.ones(2), np.array([3.0, -2.0, 1.0, 1.0]))
+
+    @staticmethod
+    def phase_one_polytopes():
+        """Cut boxes moved off the origin, so some bound is negative, and
+        gamma = 0.999 sets of LOWER experts with negative bounds."""
+        shifted = [RewardPolytope(1, p.dim, p.G, p.h - p.G @ np.full(p.dim, -0.5), p.labels)
+                   for p in cut_boxes(np.random.default_rng(3))]
+        near_one = [near_one_discount_polytopes(seed, 0.999, (ConstraintMode.LOWER,))[0]
+                    for seed in (2392, 3829, 4025, 6980)]
+        return shifted, near_one
+
+    def test_support_points_match_cold_solves(self):
+        # each warm support point is the cold lp_solve optimum of its
+        # direction; a polytope with a negative bound runs phase one for its
+        # first LP only. At gamma = 0.999 rows reach 1/(1 - gamma), and the
+        # two agree to 1e-12 of the largest entry
+        shifted, near_one = self.phase_one_polytopes()
+        cases = [(p, 1e-12) for pair in lower_d20_pairs() for p in pair[1:]]
+        cases += [(lower_d20_pairs()[0][0], 1e-12)] + [(p, 1e-12) for p in shifted]
+        cases += [(p, 1e-12 * np.max(np.abs(p.G))) for p in near_one]
+        for poly, tol in cases:
+            solves, points = solved_lps(sample_support_points, poly, 16,
+                                        np.random.default_rng(4))
+            directions = np.random.default_rng(4).standard_normal((16, poly.dim))
+            cold = [lp_solve(LinearProgram(-u, poly.G, poly.h)) for u in directions]
+            assert points.shape == (16, poly.dim)
+            assert np.max(np.abs(points - np.array([r.x for r in cold]))) <= tol
+            negative = bool(np.any(poly.h < 0.0))
+            assert (solves[0][1].pivots[0] > 0) == negative
+            assert all(res.pivots[0] == 0 for _, res in solves[1:])
+
+    def test_lower_mode_matches_highs(self):
+        # 30 seeds over the lower-bound benchmark pairs: the same directions
+        # maximised by HiGHS, then HiGHS distances both ways
+        pairs = lower_d20_pairs()
+        for seed in range(30):
+            p1, p2 = pairs[seed % 3]
+            rep = hausdorff_distance(p1, p2, HausdorffMode.LOWER_BOUND, budget=16, seed=seed)
+            s1 = highs_support_points(
+                np.random.default_rng(seed).standard_normal((16, p1.dim)), p1.G, p1.h)
+            s2 = highs_support_points(
+                np.random.default_rng(seed + 1).standard_normal((16, p2.dim)), p2.G, p2.h)
+            assert rep.directed[0] == pytest.approx(highs_directed_sup(s1, p2.G, p2.h), abs=1e-9)
+            assert rep.directed[1] == pytest.approx(highs_directed_sup(s2, p1.G, p1.h), abs=1e-9)
+
+    def test_report_counts_lps_and_pivots(self):
+        # the report's counts are those of the tableau solves; on the
+        # lower-bound benchmark pairs they average at most 40 pivots per LP
+        lps = pivots = 0
+        for seed, (p1, p2) in enumerate(lower_d20_pairs() * 2):
+            solves, rep = solved_lps(hausdorff_distance, p1, p2,
+                                     HausdorffMode.LOWER_BOUND, 16, seed)
+            assert rep.lps == len(solves) >= 32
+            assert rep.pivots == sum(sum(res.pivots) for _, res in solves)
+            lps, pivots = lps + rep.lps, pivots + rep.pivots
+        assert pivots <= 40 * lps
+        # exact mode counts its two feasibility LPs too
+        solves, rep = solved_lps(hausdorff_distance, *sweep_d6_pairs()[1])
+        assert rep.lps == len(solves) > 2
+        assert rep.pivots == sum(sum(res.pivots) for _, res in solves)
+        # the fields default to 0 and are frozen
+        bare = HausdorffReport(0.0, HausdorffMode.EXACT, (0.0, 0.0))
+        assert (bare.lps, bare.pivots) == (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.pivots = 0
+
+    @pytest.mark.parametrize("model_seed,m,seed", [
+        (1511362038, 1000, 1449468745),
+        (1071172673, 10000, 1861049796),
+    ])
+    def test_dual_ratio_test_passes_over_rounding_entries(self, model_seed, m, seed):
+        # benchmark draws whose dual simplex, breaking ratio ties by the
+        # lowest index with no pivot tolerance and no optimum check, pivoted
+        # on entries of 1e-9 (rounding left in the tableau) and returned a
+        # point 0.0045 and 0.00027 outside its set
+        truth = random_problem(5, 4, 2, 0.9, seed=1)
+        p1 = polytope_h_rep(truth)
+        p2 = polytope_h_rep(us_irl_se(GenerativeModel(truth, model_seed), m)[0])
+        rep = hausdorff_distance(p1, p2, HausdorffMode.LOWER_BOUND, budget=16, seed=seed)
+        s1 = highs_support_points(
+            np.random.default_rng(seed).standard_normal((16, p1.dim)), p1.G, p1.h)
+        s2 = highs_support_points(
+            np.random.default_rng(seed + 1).standard_normal((16, p2.dim)), p2.G, p2.h)
+        assert rep.directed[0] == pytest.approx(highs_directed_sup(s1, p2.G, p2.h), abs=1e-9)
+        assert rep.directed[1] == pytest.approx(highs_directed_sup(s2, p1.G, p1.h), abs=1e-9)
+
+    def test_dual_takes_the_largest_tied_entry(self):
+        # -1e-8 x0 - x1 <= h: moving h from 1 to -1 makes the slack leave,
+        # and on zero costs both columns tie at ratio 0. Harris' test enters
+        # x1 (entry -1), not x0 (entry -1e-8, which would put x0 at 1e8)
+        simplex = hausdorff_module._Simplex(np.array([[-1e-8, -1.0]]))
+        assert simplex.solve(np.zeros(2), np.ones(1)).x.tolist() == [0.0, 0.0]
+        res = simplex.solve(np.zeros(2), -np.ones(1))
+        assert res.pivots == (0, 1)
+        assert res.x.tolist() == [0.0, 1.0]
+
+    def test_lost_accuracy_rebuilds_the_tableau(self, monkeypatch):
+        # a tableau whose B^-1 is off by 1e-3 fails the optimum check; it is
+        # rebuilt from the basis, and the warm solve still gives the cold
+        # optimum
+        (p1, p2), = lower_d20_pairs()[:1]
+        simplex = hausdorff_module._distance_simplex(p2)
+        anchors = sample_support_points(p2, 4, np.random.default_rng(0))
+        points = sample_support_points(p1, 4, np.random.default_rng(1))
+        rebuilt = []
+        refactor = hausdorff_module._Simplex._refactor
+        monkeypatch.setattr(hausdorff_module._Simplex, "_refactor",
+                            lambda s: rebuilt.append(1) or refactor(s))
+        for k, (point, anchor) in enumerate(zip(points, anchors)):
+            if k:
+                simplex.tableau *= 1.0 + 1e-3 * np.random.default_rng(k).standard_normal(
+                    simplex.tableau.shape)
+            got = hausdorff_module._distance(simplex, p2, point, anchor)
+            assert got == pytest.approx(directed_distance(point, p2, inside=anchor), abs=1e-12)
+        assert len(rebuilt) == 3

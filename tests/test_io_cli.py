@@ -302,7 +302,10 @@ class TestCliEstimate:
 class TestCliHausdorff:
     def test_identical_files_zero(self, fig1_path, capsys):
         assert main(["hausdorff", str(fig1_path), str(fig1_path)]) == 0
-        assert "RESULT 0.0 exact" in capsys.readouterr().out
+        # the whole output, byte for byte: the report's LP counts stay out of it
+        assert capsys.readouterr().out == (
+            "hausdorff exact distance: 0\n  directed a->b: 0\n  directed b->a: 0\n"
+            "RESULT 0.0 exact\n")
 
     def test_subopt_pair(self, tmp_path, capsys):
         base, alt = tmp_path / "b.json", tmp_path / "a.json"
@@ -356,8 +359,8 @@ class TestCliHausdorff:
 
     def test_lp_optimum_outside_exit_four(self, fig1_path, monkeypatch, capsys):
         # an LP point that violates its polytope is an error, not a number
-        monkeypatch.setattr(hausdorff_module, "lp_solve",
-                            lambda lp: LpResult("optimal", 0.0, np.full(lp.G.shape[1], 5.0)))
+        monkeypatch.setattr(hausdorff_module._Simplex, "solve",
+                            lambda simplex, c, h: LpResult("optimal", 0.0, np.full(len(c), 5.0)))
         assert main(["hausdorff", str(fig1_path), str(fig1_path), "--mode", "lower",
                      "--budget", "2"]) == 4
         assert "violates" in capsys.readouterr().err

@@ -42,6 +42,7 @@ from .hausdorff import (
     InfeasiblePointError,
     LinearProgram,
     LpResult,
+    SimplexError,
     directed_distance,
     enumerate_vertices,
     hausdorff_distance,

@@ -8,8 +8,8 @@ problem), hausdorff (distance between two problems' feasible sets), sweep
 Exit codes: 0 success / member, 1 non-member (check only), 2 usage error
 (including out-of-range flag values), 3 data error (unreadable, invalid or
 unwritable files), 4 numeric error (enumeration dimension cap, empty
-polytope, an LP point outside its polytope, search overflow, a required
-sample size too large for 64-bit counts).
+polytope, an LP point outside its polytope, a simplex that gives up,
+search overflow, a required sample size too large for 64-bit counts).
 """
 from __future__ import annotations
 
@@ -107,19 +107,12 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _polytope_pair(pa, pb):
-    try:
-        return feasible.polytope_h_rep(pa), feasible.polytope_h_rep(pb)
-    except ValueError as exc:
-        raise _CliError(EXIT_DATA, str(exc)) from exc
-
-
 def cmd_hausdorff(args) -> int:
     problem_a, _ = _load_problem(args.problem_a)
     problem_b, _ = _load_problem(args.problem_b)
     if problem_a.optimal_policy.probs.shape != problem_b.optimal_policy.probs.shape:
         raise _CliError(EXIT_DATA, "problems have different numbers of states or actions")
-    poly_a, poly_b = _polytope_pair(problem_a, problem_b)
+    poly_a, poly_b = feasible.polytope_h_rep(problem_a), feasible.polytope_h_rep(problem_b)
     mode = (hausdorff.HausdorffMode.EXACT if args.mode == "exact"
             else hausdorff.HausdorffMode.LOWER_BOUND)
     report = hausdorff.hausdorff_distance(poly_a, poly_b, mode=mode,
@@ -359,7 +352,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (hausdorff.DimensionCapError, hausdorff.EmptyPolytopeError,
-            hausdorff.InfeasiblePointError) as exc:
+            hausdorff.InfeasiblePointError, hausdorff.SimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:  # an output file that cannot be written

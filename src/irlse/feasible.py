@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,18 @@ class IrlSeProblem:
     def dim(self) -> int:
         return self.num_states * self.num_actions
 
+    @property
+    def _policies(self) -> tuple:
+        return (self.optimal_policy, *(ex.policy for ex in self.experts))
+
+    @cached_property
+    def _occupancies(self) -> np.ndarray:
+        """(n + 1, S, S) stack of the policies' occupancy matrices, the optimal
+        policy's first; solved once, on first use, and shared read-only."""
+        table = np.stack([occupancy_matrix(self.mdp, pi) for pi in self._policies])
+        table.setflags(write=False)
+        return table
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -114,9 +127,11 @@ def membership_implicit(problem: IrlSeProblem, r: RewardFunction,
     non-positive advantage, (iii) each expert's per-state value gap respects
     its xi constraint under its mode.
     """
-    _check_reward_box(problem, r, tol)
-    pi1 = problem.optimal_policy
-    q1, v1, _ = value_functions(problem.mdp, r, pi1)
+    vals = _check_reward_box(problem, r, tol)
+    pi1, occupancies = problem.optimal_policy, problem._occupancies
+    # value_functions' arithmetic, so margins are bit for bit as evaluated
+    v1 = occupancies[0] @ np.sum(pi1.probs * vals, axis=1)
+    q1 = vals + problem.mdp.discount * (problem.mdp.transition @ v1)
     support = pi1.support_mask()
     diff = q1 - v1[:, None]
     margin = np.where(support, np.abs(diff), diff)
@@ -126,8 +141,7 @@ def membership_implicit(problem: IrlSeProblem, r: RewardFunction,
         for (s, a), eq, m in zip(np.argwhere(bad).tolist(), support[bad].tolist(),
                                  margin[bad].tolist())]
     for i, ex in enumerate(problem.experts):
-        _, vi, _ = value_functions(problem.mdp, r, ex.policy)
-        gap = v1 - vi
+        gap = v1 - occupancies[i + 1] @ np.sum(ex.policy.probs * vals, axis=1)
         if ex.mode is ConstraintMode.UPPER:
             margin = gap - ex.xi
         elif ex.mode is ConstraintMode.LOWER:
@@ -200,34 +214,24 @@ class ZetaCaps:
 def zeta_caps(problem: IrlSeProblem) -> ZetaCaps:
     """Necessary caps on zeta from the experts' occupancy-weighted constraints.
 
-    For each pair unplayed by the optimal expert, k(s,a) minimizes
-    xi_i / (d^{expert_i}_{s'}(s) * pi_i(a|s)) over contributing experts i and
-    start states s'; occupancy terms that are zero impose nothing and are
-    skipped.
+    For each pair (s, a) unplayed by the optimal expert, k(s, a) minimizes
+    xi_i / max_{s'} D_i[s', s] pi_i(a|s) over experts i (D_i pi_i is the
+    expert's value functional); weights at most COEF_CLEAN_TOL impose nothing.
+    The contributing experts of a pair are those that play it.
     """
-    S, A = problem.num_states, problem.num_actions
     horizon = 1.0 / (1.0 - problem.mdp.discount)
-    support1 = problem.optimal_policy.support_mask()
-    k = np.full((S, A), np.inf)
-    contributing = [[() for _ in range(A)] for _ in range(S)]
-    occupancies = [occupancy_matrix(problem.mdp, ex.policy) for ex in problem.experts]
-    for s in range(S):
-        for a in range(A):
-            if support1[s, a]:
-                continue
-            contrib = tuple(i for i, ex in enumerate(problem.experts)
-                            if ex.policy.probs[s, a] > 0.0)
-            contributing[s][a] = contrib
-            best = np.inf
-            for i in contrib:
-                ex = problem.experts[i]
-                weights = occupancies[i][:, s] * ex.policy.probs[s, a]
-                positive = weights[weights > COEF_CLEAN_TOL]
-                if positive.size:
-                    best = min(best, float(ex.xi / positive.max()))
-            k[s, a] = best
+    unplayed = ~problem.optimal_policy.support_mask()
+    probs = np.stack([pi.probs for pi in problem._policies])[1:]
+    # exactly max_{s'} of D_i[s', s] pi_i(a|s): rounding keeps order for pi >= 0
+    top = problem._occupancies[1:].max(axis=1)[..., None] * probs
+    xi = np.array([ex.xi for ex in problem.experts])[:, None, None]
+    caps = np.divide(xi, top, out=np.full(top.shape, np.inf), where=top > COEF_CLEAN_TOL)
+    k = np.where(unplayed, caps.min(axis=0, initial=np.inf), np.inf)
     g = np.where(np.isfinite(k), np.minimum(k, horizon), horizon)
-    return ZetaCaps(g, k, tuple(tuple(row) for row in contributing))
+    # flags[s][a][i]: expert i plays the unplayed pair (s, a)
+    flags = np.moveaxis((probs > 0.0) & unplayed, 0, -1).tolist()
+    return ZetaCaps(g, k, tuple(tuple(tuple(i for i, on in enumerate(pair) if on)
+                                      for pair in row) for row in flags))
 
 
 def volume_upper_bounds(problem: IrlSeProblem):
@@ -269,13 +273,6 @@ class RewardPolytope:
         return np.all(rewards @ self.G.T <= self.h[None, :] + tol, axis=1)
 
 
-def _value_functional(m: MdpNoReward, pi: Policy) -> np.ndarray:
-    """Matrix W with V^{pi} = W vec(r): W = (I - gamma pi P)^{-1} diag-expand(pi)."""
-    S, A = pi.probs.shape
-    # (pi r)(s') = sum_a pi[s',a] r[s',a], so W[s, (s', a)] = D[s, s'] pi[s', a]
-    return (occupancy_matrix(m, pi)[:, :, None] * pi.probs[None]).reshape(S, S * A)
-
-
 def polytope_h_rep(problem: IrlSeProblem) -> RewardPolytope:
     """Affine transcription of the membership conditions into G vec(r) <= h.
 
@@ -292,9 +289,11 @@ def polytope_h_rep(problem: IrlSeProblem) -> RewardPolytope:
     S, A = problem.num_states, problem.num_actions
     d = S * A
     m, pi1 = problem.mdp, problem.optimal_policy
-    w_v1 = _value_functional(m, pi1)
-    adv = (np.eye(d) + m.discount * (m.transition.reshape(d, S) @ w_v1)
-           - np.repeat(w_v1, A, axis=0))
+    probs = np.stack([pi.probs for pi in problem._policies])
+    # value functionals, V = w[i] vec(r): w[i, s, (s', a)] = D_i[s, s'] pi_i(a|s')
+    w = (problem._occupancies[..., None] * probs[:, None]).reshape(-1, S, d)
+    adv = (np.eye(d) + m.discount * (m.transition.reshape(d, S) @ w[0])
+           - np.repeat(w[0], A, axis=0))
     support = pi1.support_mask()
     equality = (support & (support.sum(axis=1, keepdims=True) >= 2)
                 & (np.arange(A) != pi1.probs.argmax(axis=1)[:, None]))
@@ -308,7 +307,7 @@ def polytope_h_rep(problem: IrlSeProblem) -> RewardPolytope:
               np.stack([np.where(support, "equality", "optimality"),
                         np.full((S, A), "equality")], axis=-1).reshape(d, 2)]
     for i, ex in enumerate(problem.experts):
-        funcs.append(w_v1 - _value_functional(m, ex.policy))  # per-state gaps
+        funcs.append(w[0] - w[i + 1])  # per-state gaps
         bounds.append(np.tile([ex.xi, -ex.xi], (S, 1)))
         emit.append(np.tile([ex.mode is not ConstraintMode.LOWER,
                              ex.mode is not ConstraintMode.UPPER], (S, 1)))

@@ -65,6 +65,12 @@ class DimensionCapError(ValueError):
     """Raised when a polytope's dimension exceeds the vertex-enumeration cap."""
 
 
+class SimplexError(RuntimeError):
+    """Raised when the simplex gives up: a phase reaches _PIVOT_CAP pivots,
+    the basis becomes singular, an optimum fails its check after the tableau
+    is rebuilt, or a distance LP ends other than optimal."""
+
+
 class InfeasiblePointError(ValueError):
     """Raised when an LP optimum or a given point of a polytope violates one
     of its rows by more than FEAS_TOL; no number is computed from it."""
@@ -156,7 +162,7 @@ class _Simplex:
     Pricing enters the most negative reduced cost (the lowest index on a
     tie); after _BLAND_AFTER degenerate pivots in a row it enters the first
     improving column (Bland's rule) until a pivot makes progress. A phase
-    that reaches _PIVOT_CAP pivots raises RuntimeError.
+    that reaches _PIVOT_CAP pivots raises SimplexError.
 
     Every optimum is checked against the basis' original columns: its basic
     values take one step of iterative refinement, and they and the refined
@@ -292,7 +298,7 @@ class _Simplex:
             self.tableau = np.linalg.solve(basis_columns, self.columns)
             self.rhs = np.linalg.solve(basis_columns, self.b)
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError("the simplex basis became singular") from exc
+            raise SimplexError("the simplex basis became singular") from exc
 
     def _cold(self, costs: np.ndarray, h: np.ndarray):
         """Phase one (when some bound is negative) and phase two from the
@@ -343,7 +349,7 @@ class _Simplex:
             status, more_one, more_two = self._restart(costs)
             one, two = one + more_one, two + more_two
             if status == "optimal" and not self._settled(costs):
-                raise RuntimeError("the simplex optimum fails its check after refactoring")
+                raise SimplexError("the simplex optimum fails its check after refactoring")
         result = self._result(status, c, (one, two))
         tally = _LP_TALLY.get()
         if tally is not None:
@@ -360,7 +366,7 @@ class _Simplex:
 
 def _check_cap(pivots: int):
     if pivots >= _PIVOT_CAP:
-        raise RuntimeError(f"simplex phase reached {_PIVOT_CAP} pivots without an optimum")
+        raise SimplexError(f"simplex phase reached {_PIVOT_CAP} pivots without an optimum")
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
@@ -430,7 +436,7 @@ def _distance(simplex: _Simplex, polytope: RewardPolytope, vec: np.ndarray,
     c[-1] = 1.0
     res = simplex.solve(c, big_h)
     if res.status != "optimal":  # cannot happen: the origin is feasible and t >= 0
-        raise RuntimeError(f"unexpected LP status {res.status}")
+        raise SimplexError(f"unexpected LP status {res.status}")
     # a zero row does not depend on the point, and the anchor's check covers it
     _check_optimum(polytope, anchor + res.x[:-1], "distance LP optimum")
     value = reach + res.value

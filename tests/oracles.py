@@ -1,5 +1,5 @@
 """Independent oracles the tests check the package against: Q-level
-membership, the per-expert constraints on zeta, value iteration, the
+membership, the per-expert constraints on zeta and its per-pair caps, value iteration, the
 per-pair H-representation builder with its greedy row dedupe, the
 row-by-row simplex, the pairwise vertex dedupe, vertices from every row
 subset, HiGHS point-to-polytope distances over those vertices, and the
@@ -20,8 +20,8 @@ from irlse.feasible import (
     MembershipReport,
     RewardPolytope,
     Violation,
+    ZetaCaps,
     _check_reward_box,
-    _value_functional,
 )
 from irlse.hausdorff import (
     DEDUPE_TOL,
@@ -160,6 +160,47 @@ def value_iteration_values(m: MdpNoReward, r: RewardFunction, pi: Policy,
     return v
 
 
+def value_functional(m: MdpNoReward, pi: Policy) -> np.ndarray:
+    """Matrix W with V^{pi} = W vec(r): W = (I - gamma pi P)^{-1} diag-expand(pi)."""
+    S, A = pi.probs.shape
+    # (pi r)(s') = sum_a pi[s',a] r[s',a], so W[s, (s', a)] = D[s, s'] pi[s', a]
+    return (occupancy_matrix(m, pi)[:, :, None] * pi.probs[None]).reshape(S, S * A)
+
+
+def zeta_caps_loop(problem: IrlSeProblem) -> ZetaCaps:
+    """Necessary caps on zeta from the experts' occupancy-weighted constraints.
+
+    For each pair unplayed by the optimal expert, k(s,a) minimizes
+    xi_i / (d^{expert_i}_{s'}(s) * pi_i(a|s)) over contributing experts i and
+    start states s'; occupancy terms that are zero impose nothing and are
+    skipped. The per-pair loop zeta_caps replaced; it must give
+    byte-identical g, k and contributing experts.
+    """
+    S, A = problem.num_states, problem.num_actions
+    horizon = 1.0 / (1.0 - problem.mdp.discount)
+    support1 = problem.optimal_policy.support_mask()
+    k = np.full((S, A), np.inf)
+    contributing = [[() for _ in range(A)] for _ in range(S)]
+    occupancies = [occupancy_matrix(problem.mdp, ex.policy) for ex in problem.experts]
+    for s in range(S):
+        for a in range(A):
+            if support1[s, a]:
+                continue
+            contrib = tuple(i for i, ex in enumerate(problem.experts)
+                            if ex.policy.probs[s, a] > 0.0)
+            contributing[s][a] = contrib
+            best = np.inf
+            for i in contrib:
+                ex = problem.experts[i]
+                weights = occupancies[i][:, s] * ex.policy.probs[s, a]
+                positive = weights[weights > COEF_CLEAN_TOL]
+                if positive.size:
+                    best = min(best, float(ex.xi / positive.max()))
+            k[s, a] = best
+    g = np.where(np.isfinite(k), np.minimum(k, horizon), horizon)
+    return ZetaCaps(g, k, tuple(tuple(row) for row in contributing))
+
+
 def h_rep_loop(problem: IrlSeProblem) -> RewardPolytope:
     """Affine transcription of the membership conditions into G vec(r) <= h.
 
@@ -174,7 +215,7 @@ def h_rep_loop(problem: IrlSeProblem) -> RewardPolytope:
     S, A = problem.num_states, problem.num_actions
     d = S * A
     m, pi1 = problem.mdp, problem.optimal_policy
-    w_v1 = _value_functional(m, pi1)
+    w_v1 = value_functional(m, pi1)
     p_flat = m.transition.reshape(d, S)
     w_q1 = np.eye(d) + m.discount * (p_flat @ w_v1)
 
@@ -201,7 +242,7 @@ def h_rep_loop(problem: IrlSeProblem) -> RewardPolytope:
                 labels.append("equality")
 
     for i, ex in enumerate(problem.experts):
-        w_vi = _value_functional(m, ex.policy)
+        w_vi = value_functional(m, ex.policy)
         gap_rows = w_v1 - w_vi  # per-state gap functionals
         for s in range(S):
             if ex.mode in (ConstraintMode.UPPER, ConstraintMode.EXACT):

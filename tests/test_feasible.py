@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+import irlse.feasible as feasible_module
+import irlse.mdp as mdp_module
+
 from irlse import (
     CanonicalParams,
     ConstraintMode,
@@ -33,7 +36,9 @@ from oracles import (
     expert_zeta_load,
     h_rep_loop,
     membership_q,
+    near_one_discount_problems,
     without_expert,
+    zeta_caps_loop,
 )
 
 
@@ -207,6 +212,39 @@ class TestCanonicalParams:
                 assert np.allclose(load, v1 - vi, atol=1e-9)
 
 
+class TestOccupancyTable:
+    def test_one_solve_per_policy(self, monkeypatch):
+        # the H-rep, 64 memberships and the caps of a d = 64 problem with two
+        # experts read one table: one occupancy solve per policy
+        calls = []
+
+        def counted(m, pi):
+            calls.append(pi)
+            return occupancy_matrix(m, pi)
+
+        monkeypatch.setattr(feasible_module, "occupancy_matrix", counted)
+        monkeypatch.setattr(mdp_module, "occupancy_matrix", counted)
+        problem = random_problem(8, 8, 2, 0.9, seed=1)
+        rng = np.random.default_rng(48)
+        rewards = [RewardFunction(rng.uniform(0, 1, size=(8, 8))) for _ in range(64)]
+        polytope_h_rep(problem)
+        for r in rewards:
+            membership_implicit(problem, r)
+        zeta_caps(problem)
+        assert len(calls) == 3
+        table = problem._occupancies
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+        # a problem made by dataclasses.replace solves its own table; reward 1
+        # on the optimal actions opens a gap above xi to the remaining expert
+        fresh = without_expert(random_problem(8, 8, 2, 0.9, seed=1), 0)
+        greedy = RewardFunction(problem.optimal_policy.probs)
+        report = membership_implicit(without_expert(problem, 0), greedy)
+        assert report == membership_implicit(fresh, greedy)
+        assert any(v.condition == "expert_gap" for v in report.violations)
+
+
 class TestZetaCapsAndVolume:
     def test_fig1_caps(self, fig1):
         caps = zeta_caps(fig1)
@@ -226,6 +264,24 @@ class TestZetaCapsAndVolume:
     def test_caps_scale_with_xi(self):
         tight = example_fig1(0.9, 0.05)
         assert zeta_caps(tight).g[0, 1] == pytest.approx(0.05)
+
+    def test_matches_loop_oracle(self):
+        # byte-identical g, k and contributing experts to the per-pair loop
+        modes = tuple(ConstraintMode)
+        problems = [random_problem(3, 3, n, g, seed=seed)
+                    for n in (1, 2, 3) for g in (0.9, 0.999) for seed in range(4)]
+        problems += [p for seed in range(8)
+                     for p in near_one_discount_problems(seed, 0.999, modes)]
+        problems += [lb_subopt(2, 0.9, 0.1, 0.25, 2.0, state) for state in (None, 0)]
+        problems.append(example_fig1(0.9, 0.5))
+        finite = 0
+        for problem in problems:
+            caps, want = zeta_caps(problem), zeta_caps_loop(problem)
+            assert caps.g.tobytes() == want.g.tobytes()
+            assert caps.k.tobytes() == want.k.tobytes()
+            assert caps.contributing_experts == want.contributing_experts
+            finite += np.count_nonzero(np.isfinite(caps.k))
+        assert finite > 50
 
     def test_member_zeta_below_caps(self):
         rng = np.random.default_rng(45)

@@ -365,6 +365,15 @@ class TestCliHausdorff:
                      "--budget", "2"]) == 4
         assert "violates" in capsys.readouterr().err
 
+    def test_simplex_failure_exit_four(self, fig1_path, monkeypatch, capsys):
+        # a simplex that gives up is a numeric error with one line, not a traceback
+        monkeypatch.setattr(hausdorff_module, "_PIVOT_CAP", 1)
+        assert main(["hausdorff", str(fig1_path), str(fig1_path), "--mode", "lower",
+                     "--budget", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: simplex phase reached 1 pivots")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_empty_feasible_set_exit_four(self, tmp_path):
         base, empty = empty_lower_pair()
         flat = RewardFunction(np.full((4, 2), 0.5))

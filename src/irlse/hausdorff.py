@@ -20,20 +20,23 @@ stops at the first U at or below the best distance so far, a point that
 violates no row adds 0, and a point with L >= U is at distance U. On the
 d = 6 sweep pairs that leaves 4,069 of 8,709 LPs, with the same values.
 
-The LP core is one dense tableau per matrix (_Simplex). Pricing enters the
-most negative reduced cost and turns to Bland's rule after _BLAND_AFTER
-degenerate pivots in a row. LPs that share a matrix share the tableau and
-restart from the last optimal basis: the support LPs of one polytope differ
-only in their costs, so each continues the primal simplex from the last
-optimum, and the distance LPs to one target differ only in their
-right-hand side, so each runs a dual simplex from the last optimal basis.
-On the d = 20 lower-bound pairs that is about 30 pivots per LP, against
-about 68 with every LP cold under Bland's rule. A pivot needs LP_TOL
-relative to the largest entry of its column (or row, in the dual), so
-rounding left by earlier pivots is never divided by. Every optimum's
-basic values take one step of iterative refinement and are checked, with
-the duals, against the basis' original columns; every LP point is checked
-against its polytope row-relative.
+The LP core is one dense tableau per matrix (_Simplex). Each solve starts
+from a basis, the first from the all-slack one; a negative basic value (a
+negative bound, in a first solve) runs the dual simplex, on zero costs as
+phase one unless the basis is dual feasible, then the primal simplex.
+Pricing enters the most negative reduced cost and turns to Bland's rule
+after _BLAND_AFTER degenerate pivots in a row. LPs that share a matrix
+share the tableau: the support LPs of one polytope differ only in their
+costs, so each continues the primal simplex from the last optimum, and the
+distance LPs to one target differ only in their right-hand side, so each
+runs a dual simplex from the last optimal basis. On the d = 20
+lower-bound pairs that is about 30 pivots per LP, against about 68 with
+every LP cold under Bland's rule. A pivot needs LP_TOL relative to the
+largest entry of its column (or row, in the dual), so rounding left by
+earlier pivots is never divided by. Every optimum's basic values take one
+step of iterative refinement and are checked, with the duals, against the
+basis' original columns; every LP point is checked against its polytope
+row-relative.
 """
 from __future__ import annotations
 
@@ -47,7 +50,6 @@ from .feasible import RewardPolytope
 
 LP_TOL = 1e-9
 FEAS_TOL = 1e-8
-PHASE_ONE_TOL = 1e-7  # largest auxiliary s* read as feasible
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
 _BLOCK = 1 << 16  # elements of one (points, anchors, dim) difference block
@@ -102,7 +104,9 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None
     x: np.ndarray | None
-    pivots: tuple[int, int] = (0, 0)  # simplex pivots in phase one, phase two
+    # pivots in phase one (the dual simplex on zero costs) and phase two; a
+    # feasibility LP (c = 0) is dual feasible, so all its pivots are phase two
+    pivots: tuple[int, int] = (0, 0)
 
 
 def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -150,14 +154,13 @@ class _Simplex:
     """A dense simplex tableau for the LPs min c . x, G x <= h, x free, that
     share one matrix G: columns x+ | x- | slacks, one row per row of G.
 
-    The first solve is cold: from the all-slack basis, after Chvatal's
-    auxiliary phase one when some bound is negative (see lp_solve). The
-    tableau is kept, and each later solve restarts from the last basis. The
-    slack columns hold B^-1, so a new h gives the basic values B^-1 h at
-    once. A basis that is optimal for the old costs stays dual feasible
-    under a new h, so a dual simplex restores primal feasibility (without a
-    dual feasible basis, one runs on zero costs as a phase one), and a
-    primal simplex then takes the new costs from the feasible basis.
+    Every solve restarts from a basis (_restart): the first from the
+    all-slack one, whose basic values are h, each later one from the last.
+    The slack columns hold B^-1, so a new h gives the basic values B^-1 h at
+    once. A negative basic value runs a dual simplex, on the costs when the
+    basis is dual feasible for them (a basis optimal for the old costs stays
+    so under a new h), else on zero costs as a phase one; a primal simplex
+    then takes the costs from the feasible basis.
 
     Pricing enters the most negative reduced cost (the lowest index on a
     tie); after _BLAND_AFTER degenerate pivots in a row it enters the first
@@ -165,36 +168,27 @@ class _Simplex:
     that reaches _PIVOT_CAP pivots raises SimplexError.
 
     Every optimum is checked against the basis' original columns: its basic
-    values take one step of iterative refinement, and they and the refined
-    duals must be feasible to LP_TOL. Rounding that grows over many warm
-    pivots fails that check; the tableau is then rebuilt from the basis
-    (one solve) and the simplex goes on from there.
+    values take one step of iterative refinement, then must solve B x = b
+    and, with the refined duals, be feasible, all to LP_TOL. Rounding grown
+    over many warm pivots fails that check; the tableau is then rebuilt
+    from the basis (one solve) and the simplex goes on from there.
     """
 
     def __init__(self, G: np.ndarray):
         self.G = G
-        self.tableau = None  # no basis until a solve reaches phase two
-        self.h = None
-        self.origin = None  # the phase-one point x0 the tableau is shifted to
+        self.tableau = None  # no basis until the first solve
 
     def _start(self, b: np.ndarray):
-        """The all-slack basis, with basic values b >= 0."""
+        """The all-slack basis, with basic values b (negative ones too)."""
         m, d = self.G.shape
         self.columns = np.hstack([self.G, -self.G, np.eye(m)])
         self.tableau = self.columns.copy()
-        self.b = b
+        self.b = self.h = b
         self.rhs = b.copy()
         self.basis = np.arange(2 * d, 2 * d + m)
 
     def _costs(self, c: np.ndarray) -> np.ndarray:
         return np.concatenate([c, -c, np.zeros(self.G.shape[0])])
-
-    def _point(self) -> np.ndarray:
-        """The basic solution in the tableau's own variables."""
-        d = self.G.shape[1]
-        full = np.zeros(self.tableau.shape[1])
-        full[self.basis] = self.rhs
-        return full[:d] - full[d:2 * d]
 
     def _primal(self, costs: np.ndarray):
         """Primal simplex from a primal feasible basis; returns
@@ -231,9 +225,12 @@ class _Simplex:
         reduced cost / -entry is within the smallest step that keeps every
         reduced cost above -LP_TOL, the one with the largest entry (the
         lowest index under Bland's rule), so a rounding-level entry is not
-        taken as a pivot while a sound one ties with it."""
+        taken as a pivot while a sound one ties with it. A pivot is
+        degenerate when it returns to a basis visited in the phase: on zero
+        costs every dual step is 0, so only a cycle is a sign of stalling."""
         tableau, rhs, basis = self.tableau, self.rhs, self.basis
         pivots = streak = 0
+        visited = {hash(np.sort(basis).tobytes())}
         while True:
             bland = streak >= _BLAND_AFTER
             if bland:
@@ -257,7 +254,9 @@ class _Simplex:
             _check_cap(pivots)
             _pivot(tableau, rhs, basis, row, int(eligible[pick]))
             pivots += 1
-            streak = streak + 1 if ratios[pick] <= LP_TOL else 0
+            key = hash(np.sort(basis).tobytes())
+            streak = streak + 1 if key in visited else 0
+            visited.add(key)
 
     def _restart(self, costs: np.ndarray):
         """Dual, then primal simplex from the current basis; returns
@@ -279,7 +278,8 @@ class _Simplex:
     def _settled(self, costs: np.ndarray) -> bool:
         """Refine the basic values once against the basis' original columns
         (B^-1 from the slack columns times the residual), and tell whether
-        they and the once-refined duals are feasible to LP_TOL."""
+        they then solve B x = b (a drifted B^-1 leaves a residual) and they
+        and the once-refined duals are feasible, all to LP_TOL."""
         binv = self.tableau[:, -self.G.shape[0]:]
         basis_columns = self.columns[:, self.basis]
         residual = self.b - basis_columns @ self.rhs
@@ -287,7 +287,8 @@ class _Simplex:
         cb = costs[self.basis]
         duals = cb @ binv
         duals = duals + (cb - duals @ basis_columns) @ binv
-        return bool(self.rhs.min(initial=0.0) >= -LP_TOL
+        return bool(np.abs(self.b - basis_columns @ self.rhs).max(initial=0.0) <= LP_TOL
+                    and self.rhs.min(initial=0.0) >= -LP_TOL
                     and (costs - duals @ self.columns).min() >= -LP_TOL)
 
     def _refactor(self):
@@ -300,48 +301,20 @@ class _Simplex:
         except np.linalg.LinAlgError as exc:
             raise SimplexError("the simplex basis became singular") from exc
 
-    def _cold(self, costs: np.ndarray, h: np.ndarray):
-        """Phase one (when some bound is negative) and phase two from the
-        all-slack basis; returns (status, phase-one, phase-two pivots)."""
-        G = self.G
-        m, d = G.shape
-        lift = float(np.max(-h, initial=0.0))
-        phase_one = 0
-        if lift == 0.0:
-            self._start(h)
-            self.origin = None
-        else:
-            # rows G x - s' <= h + lift and -s' <= lift, cost s'
-            aux = _Simplex(np.block([[G, -np.ones((m, 1))], [np.zeros((1, d)), -np.ones((1, 1))]]))
-            aux._start(np.append(h + lift, lift))
-            _, phase_one = aux._primal(aux._costs(np.append(np.zeros(d), 1.0)))
-            point = aux._point()
-            if point[d] + lift > PHASE_ONE_TOL:
-                return "infeasible", phase_one, 0
-            self.origin = point[:d]
-            self._start(np.maximum(h - G @ self.origin, 0.0))
-        self.h = h
-        status, phase_two = self._primal(costs)
-        return status, phase_one, phase_two
-
     def solve(self, c: np.ndarray, h: np.ndarray) -> LpResult:
-        """min c . x subject to G x <= h, x free; cold on the first call
-        (and after an infeasible cold one), warm from the last basis after
-        it. Pivots are counted as (phase one, phase two): a warm solve's
-        dual pivots count as phase two when they start from a dual feasible
-        basis, and as phase one when they run on zero costs."""
+        """min c . x subject to G x <= h, x free, from the all-slack basis on
+        the first call and from the last basis after it. Pivots are counted
+        as (phase one, phase two); phase one is the dual simplex on zero
+        costs in place of costs that are not dual feasible."""
         costs = self._costs(c)
         warm = self.tableau is not None
-        if warm:
-            if h is not self.h and not np.array_equal(h, self.h):
-                self.b = h if self.origin is None else h - self.G @ self.origin
-                self.rhs = self.tableau[:, -self.G.shape[0]:] @ self.b
-                self.h = h
-            status, one, two = self._restart(costs)
-        else:
-            status, one, two = self._cold(costs, h)
-        if self.tableau is not None and (
-                (status == "optimal" and not self._settled(costs))
+        if not warm:
+            self._start(h)
+        elif h is not self.h and not np.array_equal(h, self.h):
+            self.b = self.h = h
+            self.rhs = self.tableau[:, -self.G.shape[0]:] @ h
+        status, one, two = self._restart(costs)
+        if ((status == "optimal" and not self._settled(costs))
                 or (warm and status != "optimal")):
             # rounding has built up in the tableau (or a warm phase ended
             # short of an optimum): rebuild it from the basis and go on
@@ -360,7 +333,10 @@ class _Simplex:
     def _result(self, status: str, c: np.ndarray, pivots) -> LpResult:
         if status != "optimal":
             return LpResult(status, None, None, pivots)
-        x = self._point() if self.origin is None else self.origin + self._point()
+        d = self.G.shape[1]
+        full = np.zeros(self.tableau.shape[1])
+        full[self.basis] = self.rhs
+        x = full[:d] - full[d:2 * d]
         return LpResult("optimal", float(c @ x), x, pivots)
 
 
@@ -370,12 +346,10 @@ def _check_cap(pivots: int):
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Dense simplex, cold: both phases start at an origin.
-
-    With h >= 0 the origin is feasible. Otherwise phase one is Chvatal's
-    auxiliary LP min s, G x - s <= h, s >= 0, in (x, s - lift) for
-    lift = -min h; it is infeasible when s* > PHASE_ONE_TOL, and phase two
-    runs on G y <= max(h - G x0, 0), x = x0 + y. Pivots are counted per phase.
+    """Dense simplex, cold: from the all-slack basis, whose basic values
+    are h; where one is negative, the dual simplex runs first (_Simplex).
+    The LP is infeasible when a row with a negative basic value has no
+    entry below -_pivot_tol(row). Pivots are counted per phase.
     """
     return _Simplex(lp.G).solve(lp.c, lp.h)
 
@@ -667,11 +641,12 @@ def sample_support_points(polytope: RewardPolytope, budget: int,
 
     Directions are drawn sequentially, so a larger budget extends (never
     replaces) the set found with a smaller one under the same generator seed.
-    The LPs share (G, h), so one tableau serves them all: the first is
-    solved cold (with a phase one where some bound is negative), and each
-    later one replaces the costs and continues from the last optimum, which
-    is still feasible. An optimum that violates a row by more than FEAS_TOL
-    times that row's largest entry raises InfeasiblePointError.
+    The LPs share (G, h), so one tableau serves them all: the first starts
+    from the all-slack basis (after a phase one where some bound is
+    negative), and each later one replaces the costs and continues from the
+    last optimum, which is still feasible. An optimum that violates a row by
+    more than FEAS_TOL times that row's largest entry raises
+    InfeasiblePointError.
     """
     d = polytope.dim
     simplex = _Simplex(polytope.G)

@@ -24,6 +24,17 @@ class ProblemFormatError(ValueError):
     """A problem or reward file failed to parse or violated an invariant."""
 
 
+def _json_value(value, name: str, kind: type):
+    """`value` as `kind` when it is a JSON integer (kind int) or a JSON
+    number (kind float), else ProblemFormatError naming `name`. JSON true
+    and false read as bools, which are ints to Python, so they are refused
+    by name, as are strings."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ProblemFormatError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def problem_to_dict(problem: IrlSeProblem, metadata: dict | None = None) -> dict:
     experts = [{"policy": problem.optimal_policy.probs.tolist()}]
     for spec in problem.experts:
@@ -54,10 +65,12 @@ def problem_from_dict(doc: dict) -> tuple[IrlSeProblem, dict]:
     for key in ("gamma", "num_states", "num_actions", "transitions", "experts"):
         if key not in doc:
             raise ProblemFormatError(f"missing field '{key}'")
+    num_states = _json_value(doc["num_states"], "'num_states'", int)
+    num_actions = _json_value(doc["num_actions"], "'num_actions'", int)
+    gamma = _json_value(doc["gamma"], "'gamma'", float)
     try:
-        mdp = MdpNoReward(int(doc["num_states"]), int(doc["num_actions"]),
-                          np.asarray(doc["transitions"], dtype=float),
-                          float(doc["gamma"]))
+        mdp = MdpNoReward(num_states, num_actions,
+                          np.asarray(doc["transitions"], dtype=float), gamma)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid MDP data: {exc}") from exc
 
@@ -86,8 +99,9 @@ def problem_from_dict(doc: dict) -> tuple[IrlSeProblem, dict]:
         except ValueError as exc:
             raise ProblemFormatError(
                 f"expert {idx}: unknown mode '{mode_tag}'") from exc
+        xi = _json_value(entry["xi"], f"expert {idx}: 'xi'", float)
         try:
-            subs.append(ExpertSpec(policy, float(entry["xi"]), mode))
+            subs.append(ExpertSpec(policy, xi, mode))
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"expert {idx}: {exc}") from exc
     if optimal is None:

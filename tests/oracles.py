@@ -1,7 +1,9 @@
 """Independent oracles the tests check the package against: Q-level
 membership, the per-expert constraints on zeta and its per-pair caps, value iteration, the
 per-pair H-representation builder with its greedy row dedupe, the
-row-by-row simplex, the pairwise vertex dedupe, vertices from every row
+row-by-row simplex (lp_solve's one path: from the all-slack basis, the
+dual simplex on zero costs as phase one where some bound is negative,
+then the primal simplex), the pairwise vertex dedupe, vertices from every row
 subset, HiGHS point-to-polytope distances over those vertices, and the
 directed supremum that solves one distance LP per point; plus the problem
 builders several test modules share."""
@@ -26,7 +28,6 @@ from irlse.feasible import (
 from irlse.hausdorff import (
     DEDUPE_TOL,
     LP_TOL,
-    PHASE_ONE_TOL,
     LinearProgram,
     LpResult,
     directed_distance,
@@ -346,10 +347,65 @@ def _simplex_phase_loop(tableau, rhs, basis, costs):
         streak = streak + 1 if best_ratio <= LP_TOL else 0
 
 
-def _simplex_from_origin_loop(c, G, b, refine=False):
-    """min c . x subject to G x <= b >= 0 from the all-slack basis, built
-    and read back one entry at a time; with `refine`, an optimal basis'
-    values take lp_solve's phase-two refinement step."""
+def _dual_phase_loop(tableau, rhs, basis, costs):
+    """The dual simplex on a tableau whose reduced costs are feasible, one
+    entry at a time: the row with the most negative basic value leaves (the
+    first on a tie), and after hausdorff._BLAND_AFTER degenerate pivots in a
+    row the row below -LP_TOL with the lowest basic index does. The entries
+    below -LP_TOL relative to the row's largest entry above 1 are eligible;
+    Harris' bound, the smallest (reduced cost + LP_TOL) / -entry over them,
+    admits every column whose ratio reduced cost / -entry is within it, and
+    of those the largest entry enters (the first on a tie; under Bland's
+    rule, the first column). A pivot is degenerate when it returns to a set
+    of basic columns the phase has already visited.
+
+    Returns ("feasible" | "infeasible", pivots made); mutates
+    tableau/rhs/basis in place.
+    """
+    m, n = tableau.shape
+    pivots = streak = 0
+    visited = [sorted(basis.tolist())]
+    while True:
+        bland = streak >= hausdorff._BLAND_AFTER
+        row = -1
+        for i in range(m):
+            if bland:
+                if rhs[i] < -LP_TOL and (row < 0 or basis[i] < basis[row]):
+                    row = i
+            elif rhs[i] < -LP_TOL and (row < 0 or rhs[i] < rhs[row]):
+                row = i
+        if row < 0:
+            return "feasible", pivots
+        largest = 1.0
+        for j in range(n):
+            largest = max(largest, abs(tableau[row, j]))
+        eligible = [j for j in range(n) if tableau[row, j] < -LP_TOL * largest]
+        if not eligible:
+            return "infeasible", pivots
+        reduced = costs - costs[basis] @ tableau
+        bound = min((reduced[j] + LP_TOL) / -tableau[row, j] for j in eligible)
+        entering = -1
+        for j in eligible:
+            if reduced[j] / -tableau[row, j] <= bound and (
+                    entering < 0 or (not bland and tableau[row, j] < tableau[row, entering])):
+                entering = j
+        _pivot_loop(tableau, rhs, basis, row, entering)
+        pivots += 1
+        columns = sorted(basis.tolist())
+        streak = streak + 1 if columns in visited else 0
+        visited.append(columns)
+
+
+def lp_solve_loop(lp: LinearProgram) -> LpResult:
+    """irlse.lp_solve's steps on the row-by-row simplex kernels: the
+    all-slack tableau built one entry at a time; when some bound is below
+    -LP_TOL, the dual simplex on the costs if they are dual feasible (at
+    the all-slack basis the reduced costs are the costs), else on zero
+    costs as phase one; then the primal simplex, and an optimal basis'
+    values take lp_solve's refinement step. Test oracle for the vectorised
+    kernels, which must take the same pivots and return bit-identical
+    results."""
+    G, h, c = lp.G, lp.h, lp.c
     m, d = G.shape
     tableau = np.zeros((m, 2 * d + m))
     costs = np.zeros(2 * d + m)
@@ -364,46 +420,25 @@ def _simplex_from_origin_loop(c, G, b, refine=False):
         costs[j] = c[j]
         costs[d + j] = -c[j]
     columns = tableau.copy()
-    rhs = b.copy()
-    status, pivots = _simplex_phase_loop(tableau, rhs, basis, costs)
-    if refine and status == "optimal":
-        residual = b - columns[:, basis] @ rhs
-        rhs = rhs + tableau[:, 2 * d:] @ residual
+    rhs = h.copy()
+    one = two = 0
+    if any(bound < -LP_TOL for bound in h):
+        if all(cost >= -LP_TOL for cost in costs):
+            status, two = _dual_phase_loop(tableau, rhs, basis, costs)
+        else:
+            status, one = _dual_phase_loop(tableau, rhs, basis, np.zeros_like(costs))
+        if status == "infeasible":
+            return LpResult("infeasible", None, None, (one, two))
+    status, primal = _simplex_phase_loop(tableau, rhs, basis, costs)
+    pivots = (one, two + primal)
+    if status == "unbounded":
+        return LpResult("unbounded", None, None, pivots)
+    residual = h - columns[:, basis] @ rhs
+    rhs = rhs + tableau[:, 2 * d:] @ residual
     full = np.zeros(2 * d + m)
     for i in range(m):
         full[basis[i]] = rhs[i]
-    return status, full[:d] - full[d:2 * d], pivots
-
-
-def lp_solve_loop(lp: LinearProgram) -> LpResult:
-    """irlse.lp_solve's outer steps (an auxiliary phase one when some bound
-    is negative, then phase two from the phase-one point) on the row-by-row
-    simplex kernel; test oracle for the vectorised kernel, which must take
-    the same pivots and return bit-identical results."""
-    G, h, c = lp.G, lp.h, lp.c
-    m, d = G.shape
-    lift = 0.0
-    for bound in h:
-        lift = max(lift, -bound)
-    if lift == 0.0:
-        status, x, phase_two = _simplex_from_origin_loop(c, G, h, refine=True)
-        pivots = (0, phase_two)
-    else:
-        aux_G = np.zeros((m + 1, d + 1))
-        aux_G[:m, :d] = G
-        aux_G[:, d] = -1.0  # G x - s' <= h + lift and -s' <= lift
-        aux_c = np.zeros(d + 1)
-        aux_c[d] = 1.0
-        _, aux, phase_one = _simplex_from_origin_loop(aux_c, aux_G, np.append(h + lift, lift))
-        if aux[d] + lift > PHASE_ONE_TOL:
-            return LpResult("infeasible", None, None, (phase_one, 0))
-        x0 = aux[:d]
-        status, y, phase_two = _simplex_from_origin_loop(
-            c, G, np.maximum(h - G @ x0, 0.0), refine=True)
-        x = x0 + y
-        pivots = (phase_one, phase_two)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None, pivots)
+    x = full[:d] - full[d:2 * d]
     return LpResult("optimal", float(c @ x), x, pivots)
 
 

@@ -209,6 +209,23 @@ def near_one_discount_polytopes(seed, gamma, modes):
     return [polytope_h_rep(p) for p in near_one_discount_problems(seed, gamma, modes)]
 
 
+def lower_exact_polytopes(count):
+    """`count` seeded feasible sets with LOWER and EXACT experts, whose rows
+    -f <= -xi give negative bounds: S 2-5, A 2-3, one or two experts,
+    gamma in {0.5, 0.9, 0.99, 0.999} and xi ~ U(0.001, 0.5)."""
+    rng = np.random.default_rng(19)
+    polys = []
+    for seed in range(count):
+        S, A, n = int(rng.integers(2, 6)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        base = random_problem(S, A, n, float(rng.choice([0.5, 0.9, 0.99, 0.999])), seed=seed,
+                              xi_range=(0.001, 0.5))
+        modes = rng.choice([ConstraintMode.LOWER, ConstraintMode.EXACT], size=n)
+        experts = tuple(dataclasses.replace(ex, mode=mode)
+                        for ex, mode in zip(base.experts, modes))
+        polys.append(polytope_h_rep(dataclasses.replace(base, experts=experts)))
+    return polys
+
+
 def solved_lps(call, *args, **kwargs):
     """Every LP `call(*args, **kwargs)` solves, cold or warm, in call order,
     as (LinearProgram, the LpResult the tableau gave), and the call's
@@ -347,6 +364,37 @@ class TestVectorisedSimplex:
                 call()
         else:
             assert np.isfinite(call().value)
+
+    def test_lower_exact_emptiness_matches_highs(self):
+        # the phase one decides emptiness: the feasibility LP of each set is
+        # infeasible exactly when HiGHS finds the set empty, and an optimum
+        # lies in the set
+        polys = lower_exact_polytopes(600)
+        empty = 0
+        for poly in polys:
+            res = lp_solve(LinearProgram(np.zeros(poly.dim), poly.G, poly.h))
+            assert res.status in ("optimal", "infeasible")
+            assert (res.status == "infeasible") == highs_is_empty(poly.G, poly.h)
+            if res.status == "optimal":
+                assert np.all(poly.G @ res.x <= poly.h + 1e-8)
+            empty += res.status == "infeasible"
+        # both verdicts occur, and most sets have a negative bound
+        assert 0 < empty < len(polys)
+        assert sum(bool(np.any(p.h < 0.0)) for p in polys) > len(polys) // 2
+
+    def test_d64_exact_phase_one_is_short(self):
+        # on zero costs every dual step is 0, so a phase one that counted
+        # zero steps as degenerate pivots turned to Bland's rule for good and
+        # reached the 50,000-pivot cap on three of these six sets; pricing
+        # takes 49-88 pivots
+        for seed in range(6):
+            base = random_problem(8, 8, 2, 0.9, seed=seed)
+            experts = tuple(dataclasses.replace(ex, mode=ConstraintMode.EXACT)
+                            for ex in base.experts)
+            poly = polytope_h_rep(dataclasses.replace(base, experts=experts))
+            res = lp_solve(LinearProgram(np.zeros(poly.dim), poly.G, poly.h))
+            assert (res.status == "infeasible") == highs_is_empty(poly.G, poly.h)
+            assert sum(res.pivots) <= 200
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.99, 0.999]),
@@ -967,6 +1015,25 @@ class TestWarmStarts:
         with pytest.raises(RuntimeError, match="pivots"):
             simplex.solve(np.ones(2), np.array([3.0, -2.0, 1.0, 1.0]))
 
+    def test_dual_turns_to_bland_on_a_revisited_basis(self, monkeypatch):
+        # no LP at hand makes the dual cycle, so a pivot that only relabels
+        # the basis stands in for a cycle: every pivot after the first
+        # returns to the basis the first reached. Pricing enters column 1
+        # (the largest entry of row 0), Bland's rule column 0; after
+        # _BLAND_AFTER returns Bland's rule takes one pivot, to a new basis
+        monkeypatch.setattr(hausdorff_module, "_BLAND_AFTER", 3)
+        monkeypatch.setattr(hausdorff_module, "_PIVOT_CAP", 8)
+        entered = []
+
+        def relabel(tableau, rhs, basis, row, col):
+            entered.append(col)
+            basis[row] = col
+        monkeypatch.setattr(hausdorff_module, "_pivot", relabel)
+        simplex = hausdorff_module._Simplex(np.array([[-1.0, -3.0], [-1.0, 0.0]]))
+        with pytest.raises(RuntimeError, match="pivots"):
+            simplex.solve(np.zeros(2), np.array([-2.0, -1.0]))
+        assert entered == [1, 1, 1, 1, 0, 1, 1, 1]
+
     @staticmethod
     def phase_one_polytopes():
         """Cut boxes moved off the origin, so some bound is negative, and
@@ -1049,6 +1116,23 @@ class TestWarmStarts:
             np.random.default_rng(seed).standard_normal((16, p1.dim)), p1.G, p1.h)
         s2 = highs_support_points(
             np.random.default_rng(seed + 1).standard_normal((16, p2.dim)), p2.G, p2.h)
+        assert rep.directed[0] == pytest.approx(highs_directed_sup(s1, p2.G, p2.h), abs=1e-9)
+        assert rep.directed[1] == pytest.approx(highs_directed_sup(s2, p1.G, p1.h), abs=1e-9)
+
+    @pytest.mark.parametrize("problem_seed", [3, 5])
+    def test_d64_exact_pairs_match_highs(self, problem_seed):
+        # d = 64 EXACT sets against their plug-ins: at seed 3 a warm
+        # distance LP failed its check after a refactor, and at seed 5 one
+        # refinement step with a drifted B^-1 passed as settled and left a
+        # distance LP 1.7e-8 outside a row its basis held tight
+        base = random_problem(8, 8, 2, 0.9, seed=problem_seed)
+        truth = dataclasses.replace(base, experts=tuple(
+            dataclasses.replace(ex, mode=ConstraintMode.EXACT, xi=0.05) for ex in base.experts))
+        p1 = polytope_h_rep(truth)
+        p2 = polytope_h_rep(us_irl_se(GenerativeModel(truth, problem_seed), 1000)[0])
+        rep = hausdorff_distance(p1, p2, HausdorffMode.LOWER_BOUND, budget=4, seed=7)
+        s1 = highs_support_points(np.random.default_rng(7).standard_normal((4, 64)), p1.G, p1.h)
+        s2 = highs_support_points(np.random.default_rng(8).standard_normal((4, 64)), p2.G, p2.h)
         assert rep.directed[0] == pytest.approx(highs_directed_sup(s1, p2.G, p2.h), abs=1e-9)
         assert rep.directed[1] == pytest.approx(highs_directed_sup(s2, p1.G, p1.h), abs=1e-9)
 

@@ -127,6 +127,29 @@ class TestProblemIo:
         with pytest.raises(ProblemFormatError, match="expert 1: xi must be finite"):
             problem_from_dict(doc)
 
+    # the counts must be JSON integers and gamma and xi JSON numbers; none
+    # is coerced, and a bool (JSON true/false) is not a number
+    NOT_JSON_NUMBERS = [
+        ("num_states", 2.9), ("num_states", 2.0), ("num_states", True),
+        ("num_actions", "2"), ("gamma", "0.9"), ("gamma", False),
+        ("xi", True), ("xi", "0.5"), ("xi", None),
+    ]
+
+    @pytest.mark.parametrize("field,value", NOT_JSON_NUMBERS,
+                             ids=[f"{f}={v!r}" for f, v in NOT_JSON_NUMBERS])
+    def test_not_json_number_exit_three(self, field, value, tmp_path, capsys):
+        doc = problem_to_dict(example_fig1(0.9, 0.5))
+        (doc["experts"][1] if field == "xi" else doc)[field] = value
+        name = "expert 1: 'xi'" if field == "xi" else f"'{field}'"
+        with pytest.raises(ProblemFormatError, match=f"^{name} must be"):
+            problem_from_dict(doc)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        r = write_r(tmp_path, [[0.6, 0.3], [0.2, 0.1]])
+        assert main(["check", str(path), str(r)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {name} must be") and len(err.splitlines()) == 1
+
     def test_reward_roundtrip(self, tmp_path):
         values = np.array([[0.123456789012345678, 1.0], [0.0, 1e-17]])
         path = write_r(tmp_path, values)

@@ -9,7 +9,11 @@ vertex graph or sampled via random LP objectives for a certified lower
 bound. The walk leaves a vertex along the extreme rays of its tangent cone:
 the rays of d independent tight rows, refined by double description with
 the vertex's other tight rows, so a degenerate vertex costs its edges, not
-every (d - 1)-subset of its tight rows.
+every (d - 1)-subset of its tight rows. Each round of the walk works on its
+whole frontier in array passes: one double description over all of its
+degenerate vertices (_refine_cones), and one dedupe of the edge ends that
+compares each only with the points in its window of a sort by a fixed
+weighted sum (_unseen); neither loops over vertices or points in Python.
 
 The supremum solves an LP only for a point that can still raise it. Each
 point has an upper bound U, its distance to the nearest point of the other
@@ -52,7 +56,7 @@ LP_TOL = 1e-9
 FEAS_TOL = 1e-8
 DEDUPE_TOL = 1e-7
 DEFAULT_ENUM_CAP = 10
-_BLOCK = 1 << 16  # elements of one (points, anchors, dim) difference block
+_BLOCK = 1 << 16  # elements of one block of an array pass over points or cones
 _BLAND_AFTER = 50  # degenerate pivots in a row before pricing turns to Bland's rule
 _PIVOT_CAP = 50_000  # pivots one simplex phase may make before it raises
 # [LPs solved, pivots made] within the running hausdorff_distance call
@@ -485,30 +489,82 @@ def _independent_rows(unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return picked
 
 
-def _refine(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Extreme rays of {u : rows u <= 0}, where the first dim rows are a
-    basis with the simplicial cone `rays` (max-norm 1), by double
-    description (Fukuda & Prodon, 1996): each further row removes the rays
-    it is positive on, and each positive ray that is adjacent to a negative
-    one (no third ray lies on every row both lie on) combines with it into a
-    ray on that row. The rows are unit-norm, so the sign test at LP_TOL is
-    row-relative."""
-    d = rays.shape[1]
-    for k in range(d, len(rows)):
-        s = rays @ rows[k]
-        pos = s > LP_TOL
-        if not pos.any():
+def _front(mask: np.ndarray) -> np.ndarray:
+    """Per row of `mask`, the indices of its True entries first, in order,
+    then the rest; cut to the largest True count."""
+    width = int(np.max(np.count_nonzero(mask, axis=1), initial=0))
+    return np.argsort(~mask, axis=1, kind="stable")[:, :width]
+
+
+def _cut(rays: np.ndarray, live: np.ndarray, s: np.ndarray, rows: np.ndarray):
+    """One double description step on a block of cones: `rays` (n, R, dim),
+    padded, with `live` marking the real ones, `s` their products with the
+    cutting row and `rows` (n, k, dim) the rows before it. Returns the new
+    rays and, per ray, its cone and its place there: each cone keeps its
+    rays the row does not cut, in order, then takes its new rays in
+    (positive, negative) order."""
+    n, d = live.shape[0], rays.shape[2]
+    at = np.arange(n)[:, None]
+    pos, neg = live & (s > LP_TOL), live & (s < -LP_TOL)
+    off = np.abs(rays @ np.swapaxes(rows, 1, 2)) > LP_TOL
+    p, q = _front(pos), _front(neg)
+    common = ~(off[at, p][:, :, None, :] | off[at, q][:, None, :, :]).reshape(n, -1, rows.shape[1])
+    # real rays lying on every row of `common`: the pair itself, and any third
+    holding = np.count_nonzero((off.astype(float) @ np.swapaxes(common, 1, 2) == 0.0)
+                               & live[:, :, None], axis=1)
+    real = (pos[at, p][:, :, None] & neg[at, q][:, None, :]).reshape(n, -1)
+    cone, pair = ((holding == 2) & (common.sum(axis=2) >= d - 2) & real).nonzero()
+    i, j = np.divmod(pair, q.shape[1])
+    pi, qj = p[cone, i], q[cone, j]
+    new = s[cone, pi, None] * rays[cone, qj] - s[cone, qj, None] * rays[cone, pi]
+    new /= np.max(np.abs(new), axis=1, keepdims=True)
+    old_cone, old_ray = (live & ~pos).nonzero()
+    owner = np.concatenate([old_cone, cone])
+    order = np.argsort(owner, kind="stable")  # per cone: the old rays, then the new
+    owner = owner[order]
+    counts = np.bincount(owner, minlength=n)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.concatenate([rays[old_cone, old_ray], new])[order], owner, slot
+
+
+def _refine_cones(rays: np.ndarray, rows: np.ndarray, size: np.ndarray):
+    """Extreme rays of the cones {u : rows[v, :size[v]] u <= 0}, where the
+    first dim rows of each are a basis with the simplicial cone rays[v]
+    (max-norm 1), by double description (Fukuda & Prodon, 1996), batched
+    over the cones: each further row removes the rays it is positive on,
+    and each positive ray that is adjacent to a negative one (no third ray
+    lies on every row both lie on) combines with it into a ray on that row.
+    Step k runs once for every cone that has a row k and a ray it cuts, in
+    blocks of at most _BLOCK elements of the (pair, ray) products. Returns
+    the rays of every cone, cone by cone, and each cone's ray count. The
+    rows are unit-norm, so the sign test at LP_TOL is row-relative."""
+    n, d = rays.shape[0], rays.shape[2]
+    live = np.ones((n, d), dtype=bool)
+    for k in range(d, rows.shape[1]):
+        s = (rays @ rows[:, k, :, None])[..., 0]
+        pos = live & (s > LP_TOL)
+        cut = np.flatnonzero((size > k) & pos.any(axis=1))
+        if cut.size == 0:
             continue
-        off = np.abs(rays @ rows[:k].T) > LP_TOL
-        p, q = np.flatnonzero(pos), np.flatnonzero(s < -LP_TOL)
-        common = ~(off[p][:, None, :] | off[q][None, :, :]).reshape(-1, k)
-        # rays lying on every row of `common`: the pair itself, and any third
-        holding = np.count_nonzero(off.astype(float) @ common.T == 0.0, axis=0)
-        i, j = np.divmod(np.flatnonzero((holding == 2) & (common.sum(axis=1) >= d - 2)),
-                         len(q))
-        new = s[p[i], None] * rays[q[j]] - s[q[j], None] * rays[p[i]]
-        rays = np.vstack([rays[~pos], new / np.max(np.abs(new), axis=1, keepdims=True)])
-    return rays
+        width = rays.shape[1]
+        pairs = (int(pos[cut].sum(axis=1).max())
+                 * int((live[cut] & (s[cut] < -LP_TOL)).sum(axis=1).max()))
+        step = max(1, _BLOCK // max(1, pairs * (width + k)))
+        blocks = [cut[lo:lo + step] for lo in range(0, cut.size, step)]
+        steps = [_cut(rays[b], live[b], s[b], rows[b, :k]) for b in blocks]
+        # a fresh row-major array, like the vstack of a one-cone loop: a
+        # product over the transposed layout inv() leaves can differ in the
+        # last bit, and so could every vertex after it
+        grow = max(int(slot.max(initial=-1)) + 1 for _, _, slot in steps)
+        kept, rays = (rays, live), np.zeros((n, max(width, grow), d))
+        live = np.zeros(rays.shape[:2], dtype=bool)
+        rays[:, :width], live[:, :width] = kept
+        for block, (new, owner, slot) in zip(blocks, steps):
+            rays[block] = 0.0
+            live[block] = False
+            rays[block[owner], slot] = new
+            live[block[owner], slot] = True
+    return rays[live], np.count_nonzero(live, axis=1)
 
 
 def _neighbours(G: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -518,8 +574,10 @@ def _neighbours(G: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> np.ndarra
     Each vertex takes dim independent tight rows B (_independent_rows); the
     rays of that simplicial cone are the rows of -inv(G_B)^T, from one
     batched inverse. A vertex where no ray leaves another tight row (every
-    vertex with dim tight rows) is done; at any other, the rows some ray
-    leaves cut the cone by _refine. Each ray runs to the first non-tight
+    vertex with dim tight rows) is done; the others' cones are cut by the
+    rows some ray leaves, all in one batched double description
+    (_refine_cones): each vertex's rows, its basis then those rows in
+    order, are padded into one array. Each ray runs to the first non-tight
     row it meets (the ratio test; ValueError when none does, an unbounded
     edge). Ends outside a row by more than FEAS_TOL are dropped. Rows are
     scaled to unit norm, so the sign tests are row-relative."""
@@ -544,11 +602,15 @@ def _neighbours(G: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> np.ndarra
     cutting = np.any(leaves > LP_TOL, axis=1)
     degenerate = np.flatnonzero(cutting.any(axis=1))
     simple = np.flatnonzero(~cutting.any(axis=1))
-    cones = [_refine(rays[k], unit[np.concatenate([basis[k], extra[k, cutting[k]]])])
-             for k in degenerate]
-    owner = np.concatenate([np.repeat(simple, d)]
-                           + [np.full(len(cone), k) for k, cone in zip(degenerate, cones)])
-    directions = np.vstack([rays[simple].reshape(-1, d)] + cones)
+    # each degenerate vertex's rows: its basis, then the tight rows a ray leaves
+    cut = cutting[degenerate]
+    cuts = np.take_along_axis(np.where(cut, extra[degenerate], -1), _front(cut), axis=1)
+    cone_rows = np.concatenate([basis[degenerate], cuts], axis=1)
+    cones, counts = _refine_cones(rays[degenerate],
+                                  np.where(cone_rows[..., None] >= 0, unit[cone_rows], 0.0),
+                                  d + np.count_nonzero(cut, axis=1))
+    owner = np.concatenate([np.repeat(simple, d), np.repeat(degenerate, counts)])
+    directions = np.vstack([rays[simple].reshape(-1, d), cones])
     rates = directions @ unit.T
     closing = ~tight[owner] & (rates > LP_TOL)
     ratios = np.divide(slack[owner] / norms, rates, out=np.full(rates.shape, np.inf),
@@ -576,17 +638,57 @@ def _nearest(points: np.ndarray, anchors: np.ndarray):
 
 def _unseen(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """The points, in order, that lie at least DEDUPE_TOL (infinity norm)
-    from every vertex and from every point kept before them: a coarse pass
-    by rounding, then an exact tolerance pass on the survivors."""
+    from every vertex and from every point kept before them.
+
+    A point within DEDUPE_TOL of another has a key w . x within DEDUPE_TOL
+    of the other's for any w with ||w||_1 = 1; here w_j is proportional to
+    sqrt(j), j = 1..dim, so that the many 0/1 ties of reward polytopes'
+    vertices (distinct points with the same coordinate sum) get distinct
+    keys. With the points and vertices sorted by key, each point is
+    compared (infinity norm, exactly) only with those in the searchsorted
+    window of its own key, widened by the rounding the keys can carry; the
+    (point, window) differences are taken in blocks of at most _BLOCK
+    elements. The "kept before it" rule then settles in rounds: a point
+    with a kept earlier neighbour is dropped, a point whose earlier
+    neighbours are all dropped is kept, and each round settles at least the
+    first open point, so chains of near points come out as in one pass."""
+    n, d = len(vertices), points.shape[1]
     pool = np.vstack([vertices, points])
-    rounded = np.round(pool, 8)
-    order = np.lexsort(rounded.T[::-1])  # stable: each run starts at its first point
-    runs = np.r_[True, np.any(np.diff(rounded[order], axis=0) != 0.0, axis=1)]
-    first = np.sort(order[runs])
-    new = pool[first[first >= len(vertices)]]
-    if len(vertices):
-        new = new[_nearest(new, vertices)[1] >= DEDUPE_TOL]
-    return _drop_near_duplicates(new)
+    w = np.sqrt(np.arange(1, d + 1))
+    key = pool @ (w / w.sum())
+    reach = DEDUPE_TOL + (d + 1) * np.finfo(float).eps * (
+        DEDUPE_TOL + np.abs(pool).max(initial=0.0))
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    lo = np.searchsorted(ranked, key[n:] - reach, side="left")
+    counts = np.searchsorted(ranked, key[n:] + reach, side="right") - lo
+    step = max(1, _BLOCK // (d * int(counts.max(initial=1))))
+    earlier, later = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for start in range(0, len(points), step):
+        c = counts[start:start + step]
+        late = np.repeat(np.arange(start, start + len(c)) + n, c)
+        early = order[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - lo[start:start + step], c)]
+        before = early < late
+        early, late = early[before], late[before]
+        gap = pool[early]
+        gap -= pool[late]
+        near = np.max(np.abs(gap, out=gap), axis=1) < DEDUPE_TOL
+        earlier.append(early[near])
+        later.append(late[near] - n)
+    early, late = np.concatenate(earlier) - n, np.concatenate(later)
+    kept = np.zeros(len(points), dtype=bool)
+    settled = np.zeros(len(points), dtype=bool)
+    settled[late[early < 0]] = True  # near a vertex
+    early, late = early[early >= 0], late[early >= 0]
+    while not settled.all():
+        hit = np.zeros_like(kept)
+        hit[late[kept[early]]] = True
+        waiting = np.zeros_like(kept)
+        waiting[late[~settled[early]]] = True
+        keep = ~settled & ~hit & ~waiting
+        kept |= keep
+        settled |= keep | hit
+    return points[kept]
 
 
 def enumerate_vertices(polytope: RewardPolytope, inside=None) -> np.ndarray:
@@ -621,18 +723,6 @@ def enumerate_vertices(polytope: RewardPolytope, inside=None) -> np.ndarray:
             return vertices
         vertices = np.vstack([vertices, fresh])
         found = _neighbours(G, h, fresh)
-
-
-def _drop_near_duplicates(pool: np.ndarray) -> np.ndarray:
-    """The points of `pool`, in order, that lie at least DEDUPE_TOL (infinity
-    norm) from every point kept before them."""
-    kept = np.empty_like(pool)  # filled up to k
-    k = 0
-    for point in pool:
-        if not np.any(np.max(np.abs(kept[:k] - point), axis=1) < DEDUPE_TOL):
-            kept[k] = point
-            k += 1
-    return kept[:k].copy()
 
 
 def sample_support_points(polytope: RewardPolytope, budget: int,
@@ -674,6 +764,8 @@ class HausdorffReport:
     directed: tuple  # (sup over P1 side, sup over P2 side)
     lps: int = 0  # LPs solved: feasibility, support and distance
     pivots: int = 0  # their simplex pivots, cold and warm
+    # vertices (exact) or support points (lower bound) of (P1, P2)
+    points: tuple = (0, 0)
 
 
 def _distance_bounds(points: np.ndarray, target: RewardPolytope, anchors: np.ndarray):
@@ -743,7 +835,7 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
     nearest point) is at most the best distance found so far, adds 0 when it
     violates no row, and reads its upper bound when its lower bound
     max over rows of (g . v - h)+ / ||g||_1 reaches it. The report counts
-    the LPs the call solved and their pivots.
+    the LPs the call solved, their pivots, and the points of each side.
     """
     if p1.dim != p2.dim:
         raise ValueError("polytope dimensions differ")
@@ -768,4 +860,4 @@ def hausdorff_distance(p1: RewardPolytope, p2: RewardPolytope,
     finally:
         _LP_TALLY.reset(token)
     return HausdorffReport(float(max(d12, d21)), mode, (float(d12), float(d21)),
-                           lps=tally[0], pivots=tally[1])
+                           lps=tally[0], pivots=tally[1], points=(len(pts1), len(pts2)))

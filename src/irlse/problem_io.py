@@ -35,6 +35,18 @@ def _json_value(value, name: str, kind: type):
     return kind(value)
 
 
+def _json_array(value, name: str) -> np.ndarray:
+    """`value` as a float array when every leaf of its nested lists is a
+    JSON number, else ProblemFormatError naming `name`: strings and JSON
+    true and false are refused, not coerced, and so is a ragged nesting,
+    whose leaves are lists."""
+    cells = np.asarray(value, dtype=object)
+    bad = [leaf for leaf in cells.flat if type(leaf) not in (int, float)]
+    if bad:
+        raise ProblemFormatError(f"{name} must hold only numbers, got {bad[0]!r}")
+    return cells.astype(float)
+
+
 def problem_to_dict(problem: IrlSeProblem, metadata: dict | None = None) -> dict:
     experts = [{"policy": problem.optimal_policy.probs.tolist()}]
     for spec in problem.experts:
@@ -68,9 +80,9 @@ def problem_from_dict(doc: dict) -> tuple[IrlSeProblem, dict]:
     num_states = _json_value(doc["num_states"], "'num_states'", int)
     num_actions = _json_value(doc["num_actions"], "'num_actions'", int)
     gamma = _json_value(doc["gamma"], "'gamma'", float)
+    transitions = _json_array(doc["transitions"], "'transitions'")
     try:
-        mdp = MdpNoReward(num_states, num_actions,
-                          np.asarray(doc["transitions"], dtype=float), gamma)
+        mdp = MdpNoReward(num_states, num_actions, transitions, gamma)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid MDP data: {exc}") from exc
 
@@ -82,8 +94,9 @@ def problem_from_dict(doc: dict) -> tuple[IrlSeProblem, dict]:
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "policy" not in entry:
             raise ProblemFormatError(f"expert {idx}: missing 'policy'")
+        probs = _json_array(entry["policy"], f"expert {idx}: 'policy'")
         try:
-            policy = Policy(np.asarray(entry["policy"], dtype=float))
+            policy = Policy(probs)
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"expert {idx}: {exc}") from exc
         if "xi" not in entry:
@@ -140,7 +153,8 @@ def read_reward(path) -> RewardFunction:
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
+    table = _json_array(values, "reward table")
     try:
-        return RewardFunction(np.asarray(values, dtype=float))
+        return RewardFunction(table)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid reward table: {exc}") from exc

@@ -3,7 +3,8 @@ membership, the per-expert constraints on zeta and its per-pair caps, value iter
 per-pair H-representation builder with its greedy row dedupe, the
 row-by-row simplex (lp_solve's one path: from the all-slack basis, the
 dual simplex on zero costs as phase one where some bound is negative,
-then the primal simplex), the pairwise vertex dedupe, vertices from every row
+then the primal simplex), the pairwise vertex dedupe, the per-vertex double
+description of a tangent cone (refine_loop), vertices from every row
 subset, HiGHS point-to-polytope distances over those vertices, and the
 directed supremum that solves one distance LP per point; plus the problem
 builders several test modules share."""
@@ -455,6 +456,33 @@ def drop_near_duplicates_loop(pool: np.ndarray) -> np.ndarray:
         else:
             vertices.append(point)
     return np.array(vertices).reshape(len(vertices), d)
+
+
+def refine_loop(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Extreme rays of {u : rows u <= 0}, where the first dim rows are a
+    basis with the simplicial cone `rays` (max-norm 1), by double
+    description (Fukuda & Prodon, 1996), one cone at a time: each further
+    row removes the rays it is positive on, and each positive ray that is
+    adjacent to a negative one (no third ray lies on every row both lie on)
+    combines with it into a ray on that row. Oracle for the batched
+    double description of _neighbours, which must return the same rays in
+    the same order."""
+    d = rays.shape[1]
+    for k in range(d, len(rows)):
+        s = rays @ rows[k]
+        pos = s > LP_TOL
+        if not pos.any():
+            continue
+        off = np.abs(rays @ rows[:k].T) > LP_TOL
+        p, q = np.flatnonzero(pos), np.flatnonzero(s < -LP_TOL)
+        common = ~(off[p][:, None, :] | off[q][None, :, :]).reshape(-1, k)
+        # rays lying on every row of `common`: the pair itself, and any third
+        holding = np.count_nonzero(off.astype(float) @ common.T == 0.0, axis=0)
+        i, j = np.divmod(np.flatnonzero((holding == 2) & (common.sum(axis=1) >= d - 2)),
+                         len(q))
+        new = s[p[i], None] * rays[q[j]] - s[q[j], None] * rays[p[i]]
+        rays = np.vstack([rays[~pos], new / np.max(np.abs(new), axis=1, keepdims=True)])
+    return rays
 
 
 # vertices are exact up to rounding; tight tolerances keep HiGHS from

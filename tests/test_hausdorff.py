@@ -46,6 +46,7 @@ from oracles import (
     highs_support_points,
     lp_solve_loop,
     near_one_discount_problems,
+    refine_loop,
     vertices_by_subsets,
 )
 
@@ -578,27 +579,48 @@ class TestVertexEnumeration:
         # the pools the walk dedupes, one per round, on the d=8 lower-bound
         # polytopes and on random d <= 8 polytopes
         pools = []
-        dedupe = hausdorff_module._drop_near_duplicates
+        unseen = hausdorff_module._unseen
         rng = np.random.default_rng(8)
         polys = lb_d8_polytopes() + cut_boxes(rng)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hausdorff_module, "_drop_near_duplicates",
-                          lambda pool: pools.append(pool) or dedupe(pool))
+            patch.setattr(hausdorff_module, "_unseen",
+                          lambda points, vertices: pools.append((points, vertices))
+                          or unseen(points, vertices))
             for poly in polys:
                 first = len(pools)
                 vertices = enumerate_vertices(poly)
                 # every vertex came out of these pools, in the order kept
-                kept = np.vstack([dedupe(pool) for pool in pools[first:]])
+                kept = np.vstack([unseen(*pool) for pool in pools[first:]])
                 assert kept.tobytes() == vertices.tobytes()
-        # and a pool of points within, at and just beyond DEDUPE_TOL
+        # a pool of points within, at and just beyond DEDUPE_TOL, so chains
+        tol = hausdorff_module.DEDUPE_TOL
         base = rng.uniform(0, 1, size=(6, 4))
-        shifts = hausdorff_module.DEDUPE_TOL * np.array([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
+        shifts = tol * np.array([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
         near = (base[:, None, :] + shifts[None, :, None]
                 * rng.choice([-1.0, 1.0], size=(6, 6, 4))).reshape(-1, 4)
-        pools.append(near[rng.permutation(len(near))])
+        pools.append((near[rng.permutation(len(near))], np.empty((0, 4))))
+        # the 126 permutations of four ones in nine places, each with a copy
+        # shifted by tol / 2, half the 0/1 points being vertices already
+        ones = np.array([np.isin(np.arange(9), c) for c in
+                         itertools.combinations(range(9), 4)], dtype=float)
+        ties = np.vstack([ones, ones + 0.5 * tol * rng.choice([-1.0, 1.0], size=ones.shape)])
+        ties = ties[rng.permutation(len(ties))]
+        # and 300 points within tol / 2 of one point among 200 within 2 tol:
+        # for any w with |w|_1 = 1 the first 300 share one key window, and
+        # near points chain through the pool
+        centre = rng.uniform(0, 1, size=9)
+        cloud = centre + tol * np.vstack([rng.uniform(-0.5, 0.5, size=(300, 9)),
+                                          rng.uniform(-2.0, 2.0, size=(200, 9))])
+        cloud = cloud[rng.permutation(len(cloud))]
+        pools += [(ties, np.empty((0, 9))), (ties, ones[::2]),
+                  (cloud, np.empty((0, 9))), (cloud[100:], cloud[:1])]
         assert len(pools) > len(polys)
-        for pool in pools:
-            got, want = dedupe(pool), drop_near_duplicates_loop(pool)
+        for points, vertices in pools:
+            want = points
+            if len(vertices):
+                gaps = np.max(np.abs(points[:, None, :] - vertices[None, :, :]), axis=2)
+                want = points[gaps.min(axis=1) >= tol]
+            got, want = unseen(points, vertices), drop_near_duplicates_loop(want)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", ["lb_d8", "sweep_d6", "fig1", "cut_boxes", "near_one"])
@@ -631,17 +653,58 @@ class TestVertexEnumeration:
             walked += 1
         assert walked >= len(polys) / 2
 
+    @pytest.mark.parametrize("family", ["lb_d8", "tree_d10", "sweep_d6", "cut_boxes",
+                                        "near_one", "octahedron"])
+    def test_batched_cones_match_loop_oracle(self, family):
+        # every degenerate vertex's cone, as the batched double description
+        # returns it and as the per-vertex loop does: the same rays, in order
+        if family == "lb_d8":
+            polys = lb_d8_polytopes()
+        elif family == "tree_d10":
+            polys = [polytope_h_rep(lb_tree(2, 2, 0.9, 0.1, v)) for v in ((1, -1), (-1, 1))]
+        elif family == "sweep_d6":
+            truth = random_problem(3, 2, 1, 0.9, seed=0)
+            polys = [polytope_h_rep(us_irl_se(GenerativeModel(truth, seed), t)[0])
+                     for t in (10, 100, 1000) for seed in range(3)]
+        elif family == "cut_boxes":
+            polys = cut_boxes(np.random.default_rng(8))
+        elif family == "near_one":
+            polys = [poly for seed in range(6) for gamma in (0.99, 0.999)
+                     for poly in near_one_discount_polytopes(seed, gamma, list(ConstraintMode))]
+        else:
+            G = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+            polys = [RewardPolytope(1, 3, G, np.ones(len(G)), ("row",) * len(G))]
+        calls = []
+        refine = hausdorff_module._refine_cones
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hausdorff_module, "_refine_cones",
+                          lambda *args: calls.append((args, refine(*args))) or calls[-1][1])
+            for poly in polys:
+                try:
+                    enumerate_vertices(poly)
+                except EmptyPolytopeError:
+                    pass
+        cones = 0
+        for (rays, rows, size), (got, counts) in calls:
+            assert len(counts) == len(rays) and counts.sum() == len(got)
+            for ray, row, n, cone in zip(rays, rows, size, np.split(got, np.cumsum(counts)[:-1])):
+                want = refine_loop(ray, row[:n])
+                assert cone.shape == want.shape
+                assert np.max(np.abs(cone - want), initial=0.0) <= 1e-12
+                cones += 1
+        assert cones > 0
+
     @staticmethod
     def assert_cone_edges(G, h, vertex, want):
         """The walk's far ends from `vertex` are the vertices `want`, and
         the tangent cone there was cut by double description."""
         cuts = []
-        refine = hausdorff_module._refine
+        refine = hausdorff_module._refine_cones
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hausdorff_module, "_refine",
-                          lambda *args: cuts.append(1) or refine(*args))
+            patch.setattr(hausdorff_module, "_refine_cones",
+                          lambda rays, *args: cuts.append(len(rays)) or refine(rays, *args))
             ends = hausdorff_module._neighbours(G, h, vertex[None, :])
-        assert len(cuts) == 1
+        assert cuts == [1]
         assert_same_vertices(ends, want)
 
     def test_octahedron_edges(self):
@@ -1098,6 +1161,16 @@ class TestWarmStarts:
         assert (bare.lps, bare.pivots) == (0, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.pivots = 0
+
+    def test_report_counts_points(self):
+        # exact mode counts each side's vertices; lower mode its support
+        # points, one per direction on a bounded polytope
+        for p1, p2 in lb_d8_pairs():
+            rep = hausdorff_distance(p1, p2)
+            assert rep.points == (len(enumerate_vertices(p1)), len(enumerate_vertices(p2)))
+            rep = hausdorff_distance(p1, p2, HausdorffMode.LOWER_BOUND, budget=7)
+            assert rep.points == (7, 7)
+        assert HausdorffReport(0.0, HausdorffMode.EXACT, (0.0, 0.0)).points == (0, 0)
 
     @pytest.mark.parametrize("model_seed,m,seed", [
         (1511362038, 1000, 1449468745),

@@ -150,6 +150,40 @@ class TestProblemIo:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {name} must be") and len(err.splitlines()) == 1
 
+    # every leaf of the transitions, the policies and a reward table must be
+    # a JSON number; each entry replaces a 0 or 1 with a string, bool or null
+    # of the same value, which a coercing reader would load without error
+    NOT_JSON_ARRAYS = [
+        ("transitions", (0, 0, 1), "1.0"), ("transitions", (1, 0, 1), True),
+        ("transitions", (0, 1, 0), None), ("policy", (0, 0), True),
+        ("policy", (1, 1), False), ("policy", (0, 1), "0"),
+        ("reward", None, [["0.5", True], [0.2, False]]),
+        ("reward", None, [[0.5, True], [0.2, 0.1]]),
+    ]
+
+    @pytest.mark.parametrize("field,at,value", NOT_JSON_ARRAYS,
+                             ids=[f"{f}{a or ''}={v!r}" for f, a, v in NOT_JSON_ARRAYS])
+    def test_array_leaf_not_json_number_exit_three(self, field, at, value, tmp_path, capsys):
+        doc = problem_to_dict(example_fig1(0.9, 0.5))
+        r = write_r(tmp_path, [[0.6, 0.3], [0.2, 0.1]])
+        if field == "transitions":
+            doc["transitions"][at[0]][at[1]][at[2]] = value
+            name = "'transitions'"
+        elif field == "policy":
+            doc["experts"][0]["policy"][at[0]][at[1]] = value
+            name = "expert 0: 'policy'"
+        else:
+            r.write_text(json.dumps(value))
+            name = "reward table"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFormatError, match=f"^{name} must hold only numbers"):
+            read_reward(r) if field == "reward" else problem_from_dict(doc)
+        assert main(["check", str(path), str(r)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path if field != 'reward' else r}: {name} must hold")
+        assert len(err.splitlines()) == 1
+
     def test_reward_roundtrip(self, tmp_path):
         values = np.array([[0.123456789012345678, 1.0], [0.0, 1e-17]])
         path = write_r(tmp_path, values)
